@@ -140,6 +140,11 @@ def test_candidates_file_extends_search(tmp_path, capsys, b3_algebra, b3_witness
     assert code == 0
 
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
 def test_demo(capsys):
-    code, out, _ = run(["demo"], capsys)
-    assert code == 0
+    for fmt in ("table", "report"):
+        code, out, _ = run(["demo", "--format", fmt], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"demo-{fmt}.txt").read_text(), fmt
