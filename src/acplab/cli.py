@@ -303,6 +303,13 @@ def cmd_demo(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------- #
 
 
+def nonnegative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acplab",
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON element list extending the search candidates")
         p.add_argument("--exponent", type=int,
                        help="user-supplied exponent for the Bezout stage")
-        p.add_argument("--budget-l", type=int, default=64, dest="budget_l",
+        p.add_argument("--budget-l", type=nonnegative_int, default=64, dest="budget_l",
                        help="max candidate coefficients per search")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("table", "report"), default="table",

@@ -13,6 +13,10 @@ z^g z^h = c(g, h) z^(g+h) is materialized once at construction and drives
 all products; the 2-cocycle identity for the derived table is a checkable
 report, not an assumption.
 
+Elements of the algebra, of the twisted polynomial rings and of the generic
+model are all MonomialCombinations, multiplied by one rule in
+combination_product; each context supplies only its monomial key hooks.
+
 Degeneracy and strong degeneracy witnesses follow the glossary: a strong
 witness is (m, l, x_1..x_r) with s^m of prime order and
 
@@ -47,10 +51,6 @@ class CocycleData:
 
     def entry(self, i, j):
         return self.twists[i][j]
-
-
-def cocycle_data(twists, powers) -> CocycleData:
-    return CocycleData(tuple(tuple(row) for row in twists), tuple(powers))
 
 
 def power_cocycle(data: CocycleData, t: int) -> CocycleData:
@@ -249,17 +249,32 @@ def validate_relations(ext: GaloisExtensionPresentation, data: CocycleData) -> R
 
 
 # ---------------------------------------------------------------------- #
-# the algebra
+# sparse K-combinations of monomials
 
 
-class AlgebraElement:
-    """Finitely supported K-combination of canonical monomials z^m."""
+def monomial_label(letter, exps):
+    """The label z1z2^2 of an exponent vector; empty for the identity."""
+    return "".join(f"{letter}{i + 1}^{e}" if e != 1 else f"{letter}{i + 1}"
+                   for i, e in enumerate(exps) if e)
 
-    __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
+class MonomialCombination:
+    """Finitely supported K-combination of the monomials of one context.
+
+    The key type is the context's: a canonical group exponent in the
+    crossed product, a natural exponent vector in a twisted polynomial ring,
+    a (group exponent, central Laurent vector) pair in the generic model.
+    """
+
+    __slots__ = ("context", "coeffs")
+
+    def __init__(self, context, coeffs):
+        self.context = context
+        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+
+    @property
+    def algebra(self):
+        return self.context
 
     def is_zero(self):
         return not self.coeffs
@@ -267,23 +282,24 @@ class AlgebraElement:
     def support(self):
         return sorted(self.coeffs)
 
-    def coefficient(self, m):
-        m = self.algebra.ext.exp_canon(m)
-        return self.coeffs.get(m, self.algebra.ext.zero())
-
-    def monomial_parts(self):
+    def terms(self):
         return sorted(self.coeffs.items())
 
+    def coefficient(self, *key):
+        """The coefficient at a key, given whole or as its parts."""
+        key = self.context.canonical_key(key[0] if len(key) == 1 else key)
+        return self.coeffs.get(key, self.context.ext.zero())
+
     def _coerce(self, other):
-        alg = self.algebra
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not alg:
-                raise MixedContextError("operands belong to different algebras")
+        ctx = self.context
+        if isinstance(other, MonomialCombination):
+            if other.context is not ctx:
+                raise MixedContextError("operands belong to different contexts")
             return other
         if isinstance(other, FieldElement):
-            return alg.scalar_element(other)
+            return ctx.scalar_element(other)
         if isinstance(other, (int, Fraction)):
-            return alg.scalar_element(alg.ext.scalar(other))
+            return ctx.scalar_element(ctx.ext.scalar(other))
         return None
 
     def __add__(self, other):
@@ -291,14 +307,14 @@ class AlgebraElement:
         if other is None:
             return NotImplemented
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return AlgebraElement(self.algebra, out)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return MonomialCombination(self.context, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
+        return MonomialCombination(self.context, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -310,47 +326,107 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.algebra.mul(self, other)
+        return self.context.mul(self, other)
 
     def __rmul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.algebra.mul(other, self)
+        return self.context.mul(other, self)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = self.algebra.one()
+        out = self.context.one()
         for _ in range(k):
-            out = self.algebra.mul(out, self)
+            out = self.context.mul(out, self)
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, MonomialCombination):
             return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
+        return self.context is other.context and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0])))
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for m, c in sorted(self.coeffs.items()):
-            mono = "".join(f"z{i + 1}^{e}" if e > 1 else f"z{i + 1}"
-                           for i, e in enumerate(m) if e)
+        for k, c in sorted(self.coeffs.items()):
             cs = str(c)
             if " " in cs:
                 cs = f"({cs})"
+            mono = self.context.label(k)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
     __repr__ = __str__
 
 
-class CrossedProductAlgebra:
+def combination_product(ctx, x, y) -> MonomialCombination:
+    """The product in ctx, term by term: (c, g)(d, h) = c * s^a(d) * scalar
+    at key, where (scalar, key) = ctx.combine(g, h) and a = ctx.acting(g)."""
+    if x.context is not ctx or y.context is not ctx:
+        raise MixedContextError("operands belong to different contexts")
+    ext = ctx.ext
+    out: dict = {}
+    for g, c in x.coeffs.items():
+        a = ctx.acting(g)
+        for h, d in y.coeffs.items():
+            scalar, key = ctx.combine(g, h)
+            term = c * ext.apply_automorphism(a, d) * scalar
+            out[key] = out[key] + term if key in out else term
+    return MonomialCombination(ctx, out)
+
+
+class MonomialContext:
+    """Constructors shared by the contexts of MonomialCombination.
+
+    A context has `ext`, the product `mul = combination_product` (set in
+    each context class, so that profiles name each context's products) and
+    the key hooks canonical_key(key), combine(g, h) and label(key).  lift(m)
+    (the key of z^m) and acting(key) (the group exponent that moves a
+    coefficient past the monomial) default to the exponent itself.
+    """
+
+    def lift(self, m):
+        return tuple(m)
+
+    def acting(self, key):
+        return key
+
+    def element(self, coeffs) -> MonomialCombination:
+        fixed: dict = {}
+        for k, c in coeffs.items():
+            k = self.canonical_key(k)
+            fixed[k] = fixed[k] + c if k in fixed else c
+        return MonomialCombination(self, fixed)
+
+    def monomial(self, coeff, *key) -> MonomialCombination:
+        """coeff times one monomial, its key given whole or as its parts."""
+        key = self.canonical_key(key[0] if len(key) == 1 else key)
+        return MonomialCombination(self, {key: coeff})
+
+    def scalar_element(self, c: FieldElement) -> MonomialCombination:
+        return MonomialCombination(self, {self.lift(self.ext.identity_exponent()): c})
+
+    def gen(self, i) -> MonomialCombination:
+        return MonomialCombination(self, {self.lift(self.ext.unit_exponent(i)): self.ext.one()})
+
+    def one(self) -> MonomialCombination:
+        return self.scalar_element(self.ext.one())
+
+    def zero(self) -> MonomialCombination:
+        return MonomialCombination(self, {})
+
+
+# ---------------------------------------------------------------------- #
+# the algebra
+
+
+class CrossedProductAlgebra(MonomialContext):
     """The crossed product presented by (ext, data), with its derived table."""
 
     def __init__(self, ext: GaloisExtensionPresentation, data: CocycleData,
@@ -375,32 +451,18 @@ class CrossedProductAlgebra:
                 self.table[(g, h)] = tw * coeff
                 self._carries[(g, h)] = w
 
-    # -------------------------------------------------------------- #
-    # constructors
+    mul = combination_product
 
-    def element(self, coeffs) -> AlgebraElement:
-        fixed = {}
-        for m, c in coeffs.items():
-            m = self.ext.exp_canon(m)
-            fixed[m] = fixed[m] + c if m in fixed else c
-        return AlgebraElement(self, fixed)
+    def canonical_key(self, m):
+        return self.ext.exp_canon(m)
 
-    def monomial(self, coeff: FieldElement, m) -> AlgebraElement:
-        return self.element({tuple(m): coeff})
+    def combine(self, g, h):
+        return self.table[(g, h)], self.ext.exp_add(g, h)
 
-    def scalar_element(self, c: FieldElement) -> AlgebraElement:
-        return self.monomial(c, self.ext.identity_exponent())
+    def label(self, m):
+        return monomial_label("z", m)
 
-    def gen(self, i) -> AlgebraElement:
-        return self.monomial(self.ext.one(), self.ext.unit_exponent(i))
-
-    def one(self) -> AlgebraElement:
-        return self.scalar_element(self.ext.one())
-
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
-
-    def random_element(self, rng, terms=3, span=2) -> AlgebraElement:
+    def random_element(self, rng, terms=3, span=2) -> MonomialCombination:
         exps = self.ext.exponents()
         out: dict = {}
         for _ in range(terms):
@@ -410,7 +472,7 @@ class CrossedProductAlgebra:
                 out[m] = out[m] + c
             else:
                 out[m] = c
-        return AlgebraElement(self, out)
+        return MonomialCombination(self, out)
 
     # -------------------------------------------------------------- #
     # products
@@ -425,18 +487,6 @@ class CrossedProductAlgebra:
         h = self.ext.exp_canon(h)
         return self.table[(g, h)], self.ext.exp_add(g, h), self._carries[(g, h)]
 
-    def mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        if x.algebra is not self or y.algebra is not self:
-            raise MixedContextError("operands belong to different algebras")
-        ext = self.ext
-        out: dict = {}
-        for g, cg in x.coeffs.items():
-            for h, dh in y.coeffs.items():
-                term = cg * ext.apply_automorphism(g, dh) * self.table[(g, h)]
-                m = ext.exp_add(g, h)
-                out[m] = out[m] + term if m in out else term
-        return AlgebraElement(self, out)
-
     def commutator(self, m, n) -> FieldElement:
         """The unique scalar u with z^m z^n = u * z^n z^m."""
         zm = self.monomial(self.ext.one(), self.ext.exp_canon(m))
@@ -446,7 +496,7 @@ class CrossedProductAlgebra:
         exp = self.ext.exp_add(m, n)
         return left.coefficient(exp) / right.coefficient(exp)
 
-    def is_central(self, x: AlgebraElement) -> bool:
+    def is_central(self, x: MonomialCombination) -> bool:
         """Commutation against the finite generating set: K-basis and z_i."""
         for b in self.ext.basis():
             s = self.scalar_element(b)
@@ -503,11 +553,6 @@ class CrossedProductAlgebra:
                 ok = False
         report.require("table recovers the presenting twists and powers", ok)
         return report
-
-
-def build_cocycle_table(alg: CrossedProductAlgebra) -> dict:
-    """The materialized scalar table (built once at algebra construction)."""
-    return dict(alg.table)
 
 
 # ---------------------------------------------------------------------- #
@@ -595,7 +640,7 @@ def strong_to_pair_witness(alg, w: StrongDegeneracyWitness) -> DegeneracyPairWit
                      "exponent; the group is cyclic")
 
 
-def witness_to_central_element(alg, w: StrongDegeneracyWitness) -> AlgebraElement:
+def witness_to_central_element(alg, w: StrongDegeneracyWitness) -> MonomialCombination:
     """The prime-power central monomial l * z^m attached to a strong witness."""
     if not check_strong_witness(alg, w):
         raise WitnessError("witness fails the strong degeneracy check")

@@ -30,12 +30,8 @@ from .crossed_product import (CocycleData, CrossedProductAlgebra,
 from .errors import (InternalInconsistencyError, MixedContextError,
                      PresentationError, WitnessError)
 from .field_core import (FieldElement, GaloisExtensionPresentation,
-                         common_prime, validate_field_data)
+                         common_prime, require_automorphisms, validate_field_data)
 from .reporting import Report
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass
 class CompositeExtension:
@@ -48,11 +44,7 @@ class CompositeExtension:
     embed: list
     rel_gal: list
     t: int
-    _module: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._module is None:
-            self._module = ()
+    _module: tuple = field(default=(), repr=False, compare=False)
 
 
 def validate_composite(base, ext_field, composite, embed, rel_gal,
@@ -98,34 +90,11 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
             break
     report.require("embedding is a ring homomorphism", hom_ok)
 
-    act_ok = True
-    for i in range(base.rank):
-        lhs = linalg.mat_mul(composite.sigma[i], emb)
-        rhs = linalg.mat_mul(emb, base.sigma[i])
-        if not linalg.mat_eq(lhs, rhs):
-            act_ok = False
-    report.require("embedding commutes with the group action", act_ok)
-
-    ident = linalg.identity(big)
-    for i in range(composite.rank):
-        s = composite.sigma[i]
-        order_exact = linalg.mat_eq(linalg.mat_pow(s, composite.orders[i]), ident) \
-            and all(not linalg.mat_eq(linalg.mat_pow(s, k), ident)
-                    for k in range(1, composite.orders[i]))
-        report.require(f"composite sigma[{i}] order == {composite.orders[i]}",
-                       order_exact)
-        hom = all(
-            composite.apply_automorphism(composite.unit_exponent(i), x * y)
-            == composite.apply_automorphism(composite.unit_exponent(i), x)
-            * composite.apply_automorphism(composite.unit_exponent(i), y)
-            for x in composite.basis() for y in composite.basis())
-        report.require(f"composite sigma[{i}] is a ring automorphism", hom)
-    for i in range(composite.rank):
-        for j in range(i + 1, composite.rank):
-            report.require(
-                f"composite sigma[{i}] and sigma[{j}] commute",
-                linalg.mat_eq(linalg.mat_mul(composite.sigma[i], composite.sigma[j]),
-                              linalg.mat_mul(composite.sigma[j], composite.sigma[i])))
+    report.require("embedding commutes with the group action", all(
+        linalg.mat_mul(composite.sigma[i], emb) == linalg.mat_mul(emb, base.sigma[i])
+        for i in range(base.rank)))
+    require_automorphisms(report, composite, dict(enumerate(composite.sigma)),
+                          "composite sigma", composite.orders)
 
     fixed = composite.joint_fixed_subspace()
     report.require("joint fixed subspace has the coefficient degree",
@@ -136,13 +105,9 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
             report.require(f"rel_gal[{idx}] shape", False)
             continue
         tmat = [[Fraction(x) for x in row] for row in tau]
-        fixes = linalg.mat_eq(linalg.mat_mul(tmat, emb), emb)
-        report.require(f"rel_gal[{idx}] fixes the embedded subfield", fixes)
-        tau_el = lambda x: composite.element(linalg.mat_vec(tmat, list(x.coords)))
-        hom = tau_el(composite.one()) == composite.one() and all(
-            tau_el(x * y) == tau_el(x) * tau_el(y)
-            for x in composite.basis() for y in composite.basis())
-        report.require(f"rel_gal[{idx}] is a ring automorphism", hom)
+        report.require(f"rel_gal[{idx}] fixes the embedded subfield",
+                       linalg.mat_mul(tmat, emb) == emb)
+        require_automorphisms(report, composite, {idx: tmat}, "rel_gal")
 
     p = common_prime(base.orders)
     if p is None:

@@ -23,8 +23,6 @@ from . import linalg
 from .errors import MixedContextError, PresentationError
 from .reporting import Report
 
-Scalar = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -165,6 +163,8 @@ class GaloisExtensionPresentation:
         self.unit_coords = tuple(Fraction(x) for x in unit)
         if len(self.unit_coords) != self.dim:
             raise PresentationError("unit vector has wrong length")
+        if not any(self.unit_coords):
+            raise PresentationError("unit vector is zero")
 
         self.sigma = []
         for mat in sigma:
@@ -240,12 +240,6 @@ class GaloisExtensionPresentation:
                 for k, s in row[j]:
                     acc[k] += c * s
         return acc
-
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
 
     def multiplication_matrix(self, x: FieldElement):
         """Matrix of y -> x*y on coordinate columns."""
@@ -486,7 +480,35 @@ def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, s
                    f"{p.dim} basis + {samples} sampled elements invert")
 
     gram = [[p.trace(basis[a] * basis[b]) for b in range(p.dim)] for a in range(p.dim)]
-    report.require("trace form nondegenerate", linalg.det(gram) != 0)
+    report.require("trace form nondegenerate", linalg.rank(gram) == p.dim)
+
+
+def require_automorphisms(report: Report, p: GaloisExtensionPresentation, mats,
+                          label, orders=None):
+    """Require each matrix mats[i] to be a ring automorphism of p (1 -> 1 and
+    multiplicative on unordered basis pairs, which suffices when p is
+    commutative) under the check name f"{label}[i]"; with orders, also
+    require that mats[i] has exact order orders[i] and that the matrices
+    commute pairwise."""
+    basis, ident = p.basis(), linalg.identity(p.dim)
+    for i, s in mats.items():
+        sig = lambda x: FieldElement(p, linalg.mat_vec(s, list(x.coords)))
+        images = [sig(b) for b in basis]
+        hom_ok = sig(p.one()) == p.one() and all(
+            sig(basis[a] * basis[b]) == images[a] * images[b]
+            for a in range(p.dim) for b in range(a, p.dim))
+        report.require(f"{label}[{i}] is a ring automorphism", hom_ok)
+        if orders is None:
+            continue
+        order_exact = linalg.mat_pow(s, orders[i]) == ident and all(
+            linalg.mat_pow(s, k) != ident for k in range(1, orders[i]))
+        report.require(f"{label}[{i}] order == {orders[i]}", order_exact,
+                       "" if order_exact else f"{label}[{i}] order != {orders[i]}")
+    if orders is not None:
+        for i, j in itertools.combinations(mats, 2):
+            report.require(
+                f"{label}[{i}] and sigma[{j}] commute",
+                linalg.mat_mul(mats[i], mats[j]) == linalg.mat_mul(mats[j], mats[i]))
 
 
 def validate_galois_data(p: GaloisExtensionPresentation, samples=8, seed=0) -> Report:
@@ -503,37 +525,7 @@ def validate_galois_data(p: GaloisExtensionPresentation, samples=8, seed=0) -> R
     report.note(f"field axioms semi-verified: invertibility sampled with seed={seed}")
     _validate_ring_axioms(p, report, rng, samples)
 
-    basis = p.basis()
-    ident = linalg.identity(p.dim)
-    for i in range(p.rank):
-        hom_ok = True
-        s = p.sigma[i]
-        sig = lambda x: FieldElement(p, linalg.mat_vec(s, list(x.coords)))
-        if sig(p.one()) != p.one():
-            hom_ok = False
-        for a in range(p.dim):
-            if not hom_ok:
-                break
-            for b in range(a, p.dim):
-                if sig(basis[a] * basis[b]) != sig(basis[a]) * sig(basis[b]):
-                    hom_ok = False
-                    break
-        report.require(f"sigma[{i}] is a ring automorphism", hom_ok)
-
-        power = linalg.mat_pow(s, p.orders[i])
-        order_exact = linalg.mat_eq(power, ident) and all(
-            not linalg.mat_eq(linalg.mat_pow(s, k), ident)
-            for k in range(1, p.orders[i]))
-        report.require(f"sigma[{i}] order == {p.orders[i]}", order_exact,
-                       "" if order_exact else f"sigma[{i}] order != {p.orders[i]}")
-
-    for i in range(p.rank):
-        for j in range(i + 1, p.rank):
-            report.require(
-                f"sigma[{i}] and sigma[{j}] commute",
-                linalg.mat_eq(linalg.mat_mul(p.sigma[i], p.sigma[j]),
-                              linalg.mat_mul(p.sigma[j], p.sigma[i])))
-
+    require_automorphisms(report, p, dict(enumerate(p.sigma)), "sigma", p.orders)
     fixed = p.joint_fixed_subspace()
     line_ok = len(fixed) == 1 and p.scalar_part(fixed[0]) is not None
     report.require("joint fixed subspace is the scalar line", line_ok,

@@ -246,14 +246,15 @@ def trivial_cocycle(ext, powers=None) -> CocycleData:
     return CocycleData(twists, powers)
 
 
+@lru_cache(maxsize=None)
 def composite_b_cuberoot2():
     """instance-b extended by the real cube root of 2 (degree 3, not normal:
     the composite has no nontrivial automorphisms over K)."""
-    from .extension_lab import build_tensor_extension
     cbrt = SimpleExtension("crt2", 3, (Fraction(2), _ZERO, _ZERO))
     return _tensor_composite(instance_b_field(), cbrt, "b-cuberoot2")
 
 
+@lru_cache(maxsize=None)
 def composite_b3_sqrt5():
     """instance-b3 extended by a square root of 5 (degree 2, Galois; the
     relative group is generated by the sign flip)."""

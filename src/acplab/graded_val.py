@@ -104,10 +104,8 @@ class HomogeneousElement:
         return hash((self.coeff, self.exponent, self.central))
 
     def __str__(self):
-        mono = "".join(f"z{i + 1}^{k}" if k > 1 else f"z{i + 1}"
-                       for i, k in enumerate(self.exponent) if k)
-        cent = "".join(f"x{i + 1}^{k}" if k != 1 else f"x{i + 1}"
-                       for i, k in enumerate(self.central) if k)
+        mono = cp.monomial_label("z", self.exponent)
+        cent = cp.monomial_label("x", self.central)
         cs = str(self.coeff)
         if " " in cs:
             cs = f"({cs})"

@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals: RREF, solve, nullspace, determinant.
+"""Exact linear algebra over rationals: RREF, rank, solve, nullspace, inverse.
 
 Matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Everything is deterministic (no pivot heuristics beyond first-nonzero), so
@@ -36,10 +36,6 @@ def mat_mul(a, b):
                 if brow[j]:
                     orow[j] += aik * brow[j]
     return out
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def mat_pow(m, k):
@@ -128,29 +124,3 @@ def invert(matrix):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in rows[:n]]
-
-
-def det(matrix):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    sign = 1
-    out = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        out *= pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return out * sign

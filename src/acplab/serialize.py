@@ -82,6 +82,8 @@ def presentation_to_doc(p: GaloisExtensionPresentation) -> dict:
 def presentation_from_doc(doc: dict) -> GaloisExtensionPresentation:
     _expect(doc, PRESENTATION_SCHEMA)
     try:
+        if not all(type(n) is int for n in doc["orders"]):
+            raise FormatError(f"orders must be integers, got {doc['orders']!r}")
         sc = [[[_parse_scalar(x) for x in vec] for vec in row]
               for row in doc["structure_constants"]]
         return GaloisExtensionPresentation(
@@ -133,6 +135,9 @@ def cocycle_data_from_doc(doc: dict, ext=None):
                        for vec in doc["powers"])
     except (KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"malformed algebra document: {exc}") from exc
+    r = ext.rank
+    if len(twists) != r or any(len(row) != r for row in twists) or len(powers) != r:
+        raise FormatError(f"twists must be {r} x {r} and powers must have length {r}")
     return ext, CocycleData(twists, powers)
 
 

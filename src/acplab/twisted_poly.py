@@ -17,162 +17,47 @@ an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import crossed_product as cp
 from .errors import MixedContextError
-from .field_core import FieldElement, common_prime
+from .field_core import common_prime
 
 
 def _rl_key(exps):
     return tuple(reversed(exps))
 
 
-class TwistedPolynomial:
-    """Finitely supported map from natural exponent tuples into K."""
+class TwistedPolyRing(cp.MonomialContext):
+    """K[s; sigma; u]; its elements are MonomialCombinations keyed by
+    natural exponent vectors."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def coefficient(self, exps):
-        return self.coeffs.get(tuple(exps), self.ring.ext.zero())
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def _coerce(self, other):
-        if isinstance(other, TwistedPolynomial):
-            if other.ring is not self.ring:
-                raise MixedContextError("polynomials from different rings")
-            return other
-        if isinstance(other, FieldElement):
-            return self.ring.scalar_element(other)
-        if isinstance(other, (int, Fraction)):
-            return self.ring.scalar_element(self.ring.ext.scalar(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return TwistedPolynomial(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TwistedPolynomial(self.ring, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.mul(self, other)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.mul(other, self)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = self.ring.one()
-        for _ in range(k):
-            out = self.ring.mul(out, self)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedPolynomial):
-            return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in sorted(self.coeffs.items()):
-            mono = "".join(f"s{i + 1}^{k}" if k > 1 else f"s{i + 1}"
-                           for i, k in enumerate(e) if k)
-            cs = str(c)
-            if " " in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-class TwistedPolyRing:
     def __init__(self, ext, data: cp.CocycleData):
         self.ext = ext
         self.data = data
         self._engine = cp.TwistEngine(ext, data.twists)
 
-    def poly(self, coeffs) -> TwistedPolynomial:
-        return TwistedPolynomial(self, {tuple(int(x) for x in e): c
-                                        for e, c in coeffs.items()})
+    mul = cp.combination_product
+    poly = cp.MonomialContext.element
 
-    def monomial(self, coeff, exps) -> TwistedPolynomial:
-        return self.poly({tuple(exps): coeff})
+    def canonical_key(self, exps):
+        return tuple(int(x) for x in exps)
 
-    def scalar_element(self, c) -> TwistedPolynomial:
-        return self.monomial(c, (0,) * self.ext.rank)
+    def combine(self, a, c):
+        return self._engine.pair(a, c), tuple(x + y for x, y in zip(a, c))
 
-    def gen(self, i) -> TwistedPolynomial:
-        e = [0] * self.ext.rank
-        e[i] = 1
-        return self.monomial(self.ext.one(), e)
+    def label(self, exps):
+        return cp.monomial_label("s", exps)
 
-    def one(self):
-        return self.scalar_element(self.ext.one())
-
-    def zero(self):
-        return TwistedPolynomial(self, {})
-
-    def mul(self, s: TwistedPolynomial, t: TwistedPolynomial) -> TwistedPolynomial:
-        if s.ring is not self or t.ring is not self:
-            raise MixedContextError("polynomials from different rings")
-        ext = self.ext
-        out: dict = {}
-        for a, ca in s.coeffs.items():
-            for c, dc in t.coeffs.items():
-                term = ca * ext.apply_automorphism(a, dc) * self._engine.pair(a, c)
-                e = tuple(x + y for x, y in zip(a, c))
-                out[e] = out[e] + term if e in out else term
-        return TwistedPolynomial(self, out)
-
-    def random_poly(self, rng, terms=3, max_exp=2, span=2) -> TwistedPolynomial:
+    def random_poly(self, rng, terms=3, max_exp=2, span=2) -> cp.MonomialCombination:
         out: dict = {}
         for _ in range(terms):
             e = tuple(rng.randint(0, max_exp) for _ in range(self.ext.rank))
             c = self.ext.random_element(rng, span=span, nonzero=False)
             out[e] = out[e] + c if e in out else c
-        return TwistedPolynomial(self, out)
+        return cp.MonomialCombination(self, out)
 
 
-def leading_monomial(t: TwistedPolynomial):
+def leading_monomial(t: cp.MonomialCombination):
     """(exponent, coefficient) of the support-minimal monomial, comparing
     the last coordinate first."""
     if t.is_zero():
@@ -181,14 +66,14 @@ def leading_monomial(t: TwistedPolynomial):
     return e, t.coeffs[e]
 
 
-def leading_monomial_power_property(t: TwistedPolynomial, q: int) -> bool:
+def leading_monomial_power_property(t: cp.MonomialCombination, q: int) -> bool:
     """Exact check of (t^v)^q = (t^q)^v, coefficient included."""
     if t.is_zero():
         raise ValueError("the zero polynomial has no leading monomial")
     if q < 0:
         raise ValueError("nonnegative power required")
     e, c = leading_monomial(t)
-    lhs = t.ring.monomial(c, e) ** q
+    lhs = t.context.monomial(c, e) ** q
     rhs_e, rhs_c = leading_monomial(t ** q)
     (lhs_e, lhs_c), = lhs.terms()
     return (lhs_e, lhs_c) == (rhs_e, rhs_c)
@@ -196,85 +81,6 @@ def leading_monomial_power_property(t: TwistedPolynomial, q: int) -> bool:
 
 # ---------------------------------------------------------------------- #
 # the generic crossed product
-
-
-class ReducedElement:
-    """Element of the generic crossed product: finitely supported map from
-    (group exponent, Laurent central exponent) pairs into K."""
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context, coeffs):
-        self.context = context
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def coefficient(self, m, w):
-        return self.coeffs.get((tuple(m), tuple(w)), self.context.ext.zero())
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other):
-        if not isinstance(other, ReducedElement) or other.context is not self.context:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return ReducedElement(self.context, out)
-
-    def __neg__(self):
-        return ReducedElement(self.context, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        n = -other
-        if n is NotImplemented:
-            return NotImplemented
-        return self + n
-
-    def __mul__(self, other):
-        if not isinstance(other, ReducedElement):
-            return NotImplemented
-        return self.context.mul(self, other)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = self.context.one()
-        for _ in range(k):
-            out = self.context.mul(out, self)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ReducedElement):
-            return NotImplemented
-        return self.context is other.context and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (m, w), c in sorted(self.coeffs.items()):
-            mono = "".join(f"z{i + 1}^{k}" if k > 1 else f"z{i + 1}"
-                           for i, k in enumerate(m) if k)
-            cent = "".join(f"X{i + 1}^{k}" if k != 1 else f"X{i + 1}"
-                           for i, k in enumerate(w) if k)
-            cs = str(c)
-            if " " in cs:
-                cs = f"({cs})"
-            body = "*".join(x for x in (cs, mono, cent) if x)
-            parts.append(body)
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 @dataclass
@@ -289,54 +95,45 @@ class MonomialSearchOutcome:
         return self.monomial is not None
 
 
-class GenericCrossedProduct:
+class GenericCrossedProduct(cp.MonomialContext):
     """The crossed product with generator powers rescaled by central
     indeterminates X_i; realized as the reduction target of the twisted
-    polynomial ring over the same presentation data."""
+    polynomial ring over the same presentation data.  Its elements are
+    MonomialCombinations keyed by (group exponent, Laurent central
+    exponent) pairs."""
 
     def __init__(self, algebra: cp.CrossedProductAlgebra):
         self.algebra = algebra
         self.ext = algebra.ext
         self.ring = TwistedPolyRing(algebra.ext, algebra.data)
 
-    # constructors ---------------------------------------------------- #
+    mul = cp.combination_product
 
-    def element(self, coeffs) -> ReducedElement:
-        ext = self.ext
-        fixed: dict = {}
-        for (m, w), c in coeffs.items():
-            key = (ext.exp_canon(m), tuple(int(x) for x in w))
-            fixed[key] = fixed[key] + c if key in fixed else c
-        return ReducedElement(self, fixed)
+    def canonical_key(self, key):
+        m, w = key
+        return self.ext.exp_canon(m), tuple(int(x) for x in w)
 
-    def monomial(self, coeff, m, w=None) -> ReducedElement:
-        if w is None:
-            w = (0,) * self.ext.rank
-        return self.element({(tuple(m), tuple(w)): coeff})
+    def lift(self, m):
+        return tuple(m), (0,) * self.ext.rank
 
-    def one(self) -> ReducedElement:
-        z = (0,) * self.ext.rank
-        return self.monomial(self.ext.one(), z, z)
+    def acting(self, key):
+        return key[0]
 
-    def mul(self, x: ReducedElement, y: ReducedElement) -> ReducedElement:
-        if x.context is not self or y.context is not self:
-            raise MixedContextError("elements from different contexts")
-        ext = self.ext
-        out: dict = {}
-        for (m, w), c in x.coeffs.items():
-            for (m2, w2), d in y.coeffs.items():
-                scalar, exp, carry = self.algebra.monomial_product(m, m2)
-                term = c * ext.apply_automorphism(m, d) * scalar
-                key = (exp, tuple(a + b + q for a, b, q in zip(w, w2, carry)))
-                out[key] = out[key] + term if key in out else term
-        return ReducedElement(self, out)
+    def combine(self, g, h):
+        scalar, m, carry = self.algebra.monomial_product(g[0], h[0])
+        return scalar, (m, tuple(a + b + q for a, b, q in zip(g[1], h[1], carry)))
+
+    def label(self, key):
+        m, w = key
+        return "*".join(x for x in (cp.monomial_label("z", m),
+                                    cp.monomial_label("X", w)) if x)
 
     # reduction ------------------------------------------------------- #
 
-    def reduce(self, t: TwistedPolynomial) -> ReducedElement:
+    def reduce(self, t: cp.MonomialCombination) -> cp.MonomialCombination:
         """Ring homomorphism from the twisted polynomial ring: substitute
         powers[i] * X_i for each s_i^{n_i}, exactly."""
-        if t.ring.ext is not self.ext or t.ring.data != self.algebra.data:
+        if t.context.ext is not self.ext or t.context.data != self.algebra.data:
             raise MixedContextError("polynomial over a different presentation")
         out: dict = {}
         for exps, c in t.coeffs.items():
@@ -344,9 +141,9 @@ class GenericCrossedProduct:
             key = (m, w)
             term = c * coeff
             out[key] = out[key] + term if key in out else term
-        return ReducedElement(self, out)
+        return cp.MonomialCombination(self, out)
 
-    def is_central(self, x: ReducedElement) -> bool:
+    def is_central(self, x: cp.MonomialCombination) -> bool:
         """Central exactly when supported on trivial group exponents with
         scalar-line coefficients (the rational-function center)."""
         zero_exp = (0,) * self.ext.rank
@@ -355,20 +152,21 @@ class GenericCrossedProduct:
                 return False
         return True
 
-    def is_p_power_central(self, t: TwistedPolynomial, p: int) -> bool:
+    def is_p_power_central(self, t: cp.MonomialCombination, p: int) -> bool:
         return self.is_central(self.reduce(t ** p))
 
-    def strip_central(self, t: TwistedPolynomial):
+    def strip_central(self, t: cp.MonomialCombination):
         """(t - t_c, t_c) where t_c collects the central monomials of t."""
         central: dict = {}
         rest: dict = {}
         for exps, c in t.coeffs.items():
             if all(e % n == 0 for e, n in zip(exps, self.ext.orders)) \
-                    and self.is_central(self.reduce(t.ring.monomial(c, exps))):
+                    and self.is_central(self.reduce(t.context.monomial(c, exps))):
                 central[exps] = c
             else:
                 rest[exps] = c
-        return TwistedPolynomial(t.ring, rest), TwistedPolynomial(t.ring, central)
+        return (cp.MonomialCombination(t.context, rest),
+                cp.MonomialCombination(t.context, central))
 
     def group_prime(self) -> int:
         """The common prime of the generator orders; error if mixed."""
@@ -377,7 +175,7 @@ class GenericCrossedProduct:
             raise ValueError("generator orders are not powers of one prime")
         return p
 
-    def witness_monomial(self, witness) -> TwistedPolynomial:
+    def witness_monomial(self, witness) -> cp.MonomialCombination:
         """The polynomial-ring image of a strong witness's central monomial."""
         return self.ring.monomial(witness.coeff, witness.exponent)
 

@@ -13,7 +13,10 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run(args, capsys):
-    code = cli.main(args)
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:       # argparse rejected the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -36,13 +39,25 @@ def test_validate_missing_file(capsys):
     assert "input error" in err
 
 
-def test_validate_perturbed_fixture(tmp_path, capsys, b_algebra):
-    doc = serialize.algebra_to_doc(b_algebra)
-    doc["twists"][0][1][2] = "1/2"       # breaks the inversion rule
+@pytest.mark.parametrize("keys, value, expected", [
+    (("twists", 0, 1, 2), "1/2", cli.EXIT_MATH_FAIL),
+    (("extension", "orders"), ["x", 2], cli.EXIT_IO),
+    (("extension", "orders"), [2.5, 2], cli.EXIT_IO),
+    (("twists",), [[["1", "0", "0", "0"], ["-1", "0", "0", "0"]]], cli.EXIT_IO),
+    (("extension", "unit"), ["0"] * 4, cli.EXIT_MATH_FAIL),
+], ids=["inversion-rule", "string-order", "float-order", "one-row-twists",
+        "zero-unit"])
+def test_validate_perturbed_fixture(tmp_path, capsys, keys, value, expected):
+    doc = serialize.load_document(FIXTURE_DIR / "instance-b.json")
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
     path = tmp_path / "broken.json"
     serialize.save(path, doc)
     code, _out, err = run(["validate", "--fixture", str(path)], capsys)
-    assert code == cli.EXIT_MATH_FAIL
+    assert code == expected
+    assert len(err.splitlines()) <= 1
 
 
 def test_analyze_finds_witness(capsys):
@@ -51,11 +66,16 @@ def test_analyze_finds_witness(capsys):
     assert "witness found" in out
 
 
-def test_analyze_budget_exhaustion(capsys):
-    code, out, _ = run(
-        ["analyze", "--fixture", "instance-b3", "--budget-l", "0"], capsys)
-    assert code == cli.EXIT_EXHAUSTED
-    assert "NOT a proof" in out
+@pytest.mark.parametrize("budget, expected", [
+    ("0", cli.EXIT_EXHAUSTED), ("-1", cli.EXIT_IO)], ids=["zero", "negative"])
+def test_analyze_budget_exhaustion(capsys, budget, expected):
+    code, out, err = run(
+        ["analyze", "--fixture", "instance-b3", "--budget-l", budget], capsys)
+    assert code == expected
+    if expected == cli.EXIT_EXHAUSTED:
+        assert "NOT a proof" in out
+    else:
+        assert "--budget-l: -1 is negative" in err
 
 
 def test_graded_command(capsys):

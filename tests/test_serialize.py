@@ -84,13 +84,12 @@ def test_scalar_literals():
         serialize._parse_scalar("not-a-number")
 
 
-def test_shipped_files_match_builders(b_algebra, b_witness):
-    path = FIXTURE_DIR / "instance-b.json"
-    assert path.exists()
-    doc = serialize.load_document(path)
-    assert doc == serialize.algebra_to_doc(b_algebra)
-    wdoc = serialize.load_document(FIXTURE_DIR / "instance-b-witness.json")
-    assert wdoc == serialize.witness_to_doc(b_algebra, b_witness)
+def test_shipped_files_match_builders(tmp_path):
+    written = fixtures.write_fixture_files(tmp_path)
+    assert sorted(p.name for p in written) == \
+        sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (FIXTURE_DIR / path.name).read_bytes(), path.name
 
 
 def test_shipped_composite_loads(b3_composite):
