@@ -168,3 +168,32 @@ def test_demo(capsys):
         code, out, _ = run(["demo", "--format", fmt], capsys)
         assert code == 0
         assert out == (GOLDEN_DIR / f"demo-{fmt}.txt").read_text(), fmt
+
+
+REPO_ROOT = FIXTURE_DIR.parent
+CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
+CLI_GOLDEN_JOBS = {
+    f"{command}-{fixture}": [command, "--fixture", f"fixtures/{fixture}.json"]
+    for fixture in ("instance-b", "instance-b-witness", "instance-b3",
+                    "instance-b3-witness")
+    for command in ("validate", "analyze", "graded")
+}
+CLI_GOLDEN_JOBS.update({
+    f"descend-{composite}": [
+        "descend", "--fixture", f"fixtures/{fixture}.json",
+        "--composite", f"fixtures/composite-{composite}.json",
+        "--exponent", exponent]
+    for fixture, composite, exponent in (("instance-b-witness", "b-cuberoot2", "2"),
+                                         ("instance-b3-witness", "b3-sqrt5", "3"))
+})
+
+
+@pytest.mark.parametrize("job", sorted(CLI_GOLDEN_JOBS))
+def test_cli_report_matches_golden(monkeypatch, capsys, job):
+    # the report echoes the fixture path, so run from the repository root
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, _ = run(CLI_GOLDEN_JOBS[job] + ["--format", "report", "--seed", "0"],
+                       capsys)
+    codes = json.loads((CLI_GOLDEN_DIR / "exit-codes.json").read_text())
+    assert code == codes[job]
+    assert out == (CLI_GOLDEN_DIR / f"{job}.txt").read_text(encoding="utf-8")

@@ -176,6 +176,27 @@ def test_validation_names_broken_structure_constant(b_field):
     assert not report.ok
 
 
+@pytest.mark.parametrize("i, j, k, detail", [
+    (1, 2, 0, "fails at basis triple (1,1,2)"),
+    (4, 7, 3, "fails at basis triple (1,3,7)"),
+    (8, 8, 5, "fails at basis triple (1,7,8)"),
+])
+def test_validation_names_first_nonassociative_triple(b3_field, i, j, k, detail):
+    """A symmetric perturbation keeps the table commutative, so only the
+    associativity check fails, at the lexicographically first bad triple."""
+    sc = [[list(vec) for vec in row] for row in b3_field.structure_constants]
+    sc[i][j][k] += 1
+    if i != j:
+        sc[j][i][k] += 1
+    broken = GaloisExtensionPresentation(
+        b3_field.orders, b3_field.basis_labels, sc, b3_field.unit_coords,
+        b3_field.sigma, name="nonassociative")
+    checks = {c.name: c for c in validate_galois_data(broken).checks}
+    assert checks["commutativity"].passed and checks["unit element"].passed
+    assert not checks["associativity"].passed
+    assert checks["associativity"].detail == detail
+
+
 def test_presentation_shape_errors(b_field):
     with pytest.raises(PresentationError):
         GaloisExtensionPresentation((2,), ("1", "x"), [[[1, 0]]], [1, 0],
