@@ -11,6 +11,12 @@ Group exponents are plain tuples m = (m_1, ..., m_r) with
 0 <= m_i < orders[i]; composition is componentwise addition modulo the
 orders.  All scalars are Fractions, so every identity in this package is
 checked exactly.
+
+Multiplication and the Galois action run on integers: the structure
+constants and each automorphism power are stored once as sparse integer
+numerators over one common denominator, each operand is scaled by the lcm
+of its coordinate denominators, products are accumulated in Python ints,
+and the result is divided once and handed back as normalised Fractions.
 """
 
 from __future__ import annotations
@@ -154,11 +160,13 @@ class GaloisExtensionPresentation:
             raise PresentationError("structure constants must form an n x n table")
         if any(len(v) != self.dim for row in structure_constants for v in row):
             raise PresentationError("structure constant vectors must have length n")
-        sc = [[tuple(Fraction(x) for x in structure_constants[i][j]) for j in range(self.dim)]
-              for i in range(self.dim)]
-        self.structure_constants = sc
-        # sparse view: _sc[i][j] = [(k, coeff), ...] without zeros
-        self._sc = [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in sc]
+        # basis_i * basis_j = sum(s * basis_k for k, s in _table[i][j]) / _table_den
+        entries, self._table_den = _sparse_integer(
+            [[Fraction(x) for x in vec] for row in structure_constants for vec in row])
+        self._table = tuple(entries[i * self.dim:(i + 1) * self.dim] for i in range(self.dim))
+        # trace(basis_i) * _table_den: the trace is a linear functional
+        self._trace_nums = tuple(sum(s for j, entry in enumerate(row) for k, s in entry if k == j)
+                                 for row in self._table)
 
         self.unit_coords = tuple(Fraction(x) for x in unit)
         if len(self.unit_coords) != self.dim:
@@ -174,8 +182,15 @@ class GaloisExtensionPresentation:
         if len(self.sigma) != self.rank:
             raise PresentationError("need one automorphism matrix per generator")
 
-        self._sigma_cache: dict[tuple, list] = {}
+        self._sigma_cache: dict[tuple, tuple] = {}
         self._exp_order_cache: dict[tuple, int] = {}
+
+    @property
+    def structure_constants(self):
+        """structure_constants[i][j]: the coordinate tuple of basis_i * basis_j,
+        derived from the integer table on each access."""
+        return [[_dense_vector(entry, self._table_den, self.dim) for entry in row]
+                for row in self._table]
 
     # ------------------------------------------------------------------ #
     # element constructors
@@ -227,19 +242,20 @@ class GaloisExtensionPresentation:
             raise MixedContextError("operands belong to different fields")
 
     def _mul_coords(self, x, y):
-        acc = [_ZERO] * self.dim
-        sc = self._sc
-        for i, xi in enumerate(x):
-            if not xi:
+        xs, xden = _scale(x)
+        ys, yden = _scale(y)
+        y_terms = [(j, b) for j, b in enumerate(ys) if b]
+        acc = [0] * self.dim
+        table = self._table
+        for i, a in enumerate(xs):
+            if not a:
                 continue
-            row = sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
+            row = table[i]
+            for j, b in y_terms:
+                c = a * b
                 for k, s in row[j]:
                     acc[k] += c * s
-        return acc
+        return _unscale(acc, xden * yden * self._table_den)
 
     def multiplication_matrix(self, x: FieldElement):
         """Matrix of y -> x*y on coordinate columns."""
@@ -256,8 +272,9 @@ class GaloisExtensionPresentation:
         return FieldElement(self, sol)
 
     def trace(self, x: FieldElement) -> Fraction:
-        m = self.multiplication_matrix(x)
-        return sum((m[i][i] for i in range(self.dim)), _ZERO)
+        nums, den = _scale(x.coords)
+        return Fraction(sum(a * t for a, t in zip(nums, self._trace_nums)),
+                        den * self._table_den)
 
     # ------------------------------------------------------------------ #
     # group exponents
@@ -323,19 +340,21 @@ class GaloisExtensionPresentation:
     # Galois action
 
     def sigma_matrix(self, m):
+        """s^m as (columns, den): column j is the sparse integer entry of
+        s^m(basis_j) over the common den, see _sparse_integer."""
         m = self.exp_canon(m)
         cached = self._sigma_cache.get(m)
         if cached is None:
-            cached = linalg.identity(self.dim)
+            mat = linalg.identity(self.dim)
             for i, mi in enumerate(m):
                 for _ in range(mi):
-                    cached = linalg.mat_mul(self.sigma[i], cached)
-            self._sigma_cache[m] = cached
+                    mat = linalg.mat_mul(self.sigma[i], mat)
+            cached = self._sigma_cache[m] = _sparse_integer(list(zip(*mat)))
         return cached
 
     def apply_automorphism(self, m, x: FieldElement) -> FieldElement:
         self._check(x)
-        return FieldElement(self, linalg.mat_vec(self.sigma_matrix(m), list(x.coords)))
+        return FieldElement(self, _apply_columns(self.sigma_matrix(m), x.coords))
 
     def norm_along(self, m, x: FieldElement) -> FieldElement:
         """N_m(x): the product of x over the cyclic group generated by s^m."""
@@ -359,7 +378,7 @@ class GaloisExtensionPresentation:
 
     def fixed_subspace(self, m):
         """F-basis of the kernel of (s^m - id), as field elements."""
-        s = self.sigma_matrix(m)
+        s = _dense_matrix(self.sigma_matrix(m))
         delta = [[s[i][j] - (_ONE if i == j else _ZERO) for j in range(self.dim)]
                  for i in range(self.dim)]
         return [FieldElement(self, v) for v in linalg.nullspace(delta)]
@@ -387,7 +406,7 @@ class GaloisExtensionPresentation:
         m = self.exp_canon(m)
         if not any(m):
             raise ValueError("hilbert90_solve requires a nontrivial exponent")
-        s = self.sigma_matrix(m)
+        s = _dense_matrix(self.sigma_matrix(m))
         mc = self.multiplication_matrix(c)
         delta = [[s[i][j] - mc[i][j] for j in range(self.dim)] for i in range(self.dim)]
         kernel = linalg.nullspace(delta)
@@ -401,6 +420,65 @@ class GaloisExtensionPresentation:
     def __repr__(self):
         return (f"GaloisExtensionPresentation({self.name or 'unnamed'}: dim {self.dim}, "
                 f"orders {self.orders})")
+
+
+# ---------------------------------------------------------------------- #
+# integer kernel
+
+
+def _scale(coords):
+    """(numerators, den): coords == [v / den for v in numerators], with den
+    the lcm of the coordinate denominators."""
+    # unpack a list, not a generator: the argument tuple built from a
+    # generator is resized, and each one freed stays on the tuple free list
+    # (measured: +0.2 MB retained by one `validate` run on instance-b3)
+    den = lcm(*[c.denominator for c in coords])
+    if den == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _unscale(nums, den):
+    """Normalised Fraction coordinates nums / den; zeros are the shared _ZERO."""
+    return [Fraction(v, den) if v else _ZERO for v in nums]
+
+
+def _sparse_integer(vectors):
+    """Fraction vectors as (entries, den): entry ((k, s), ...) stands for the
+    vector sum(s * e_k) / den, zeros dropped, with one den for all of them.
+    Equal entries are one shared tuple."""
+    den = lcm(*[c.denominator for vec in vectors for c in vec])
+    shared = {}
+    entries = tuple(
+        shared.setdefault(entry, entry) for entry in (
+            tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(vec) if c)
+            for vec in vectors))
+    return entries, den
+
+
+def _dense_vector(entry, den, n):
+    out = [_ZERO] * n
+    for k, s in entry:
+        out[k] = Fraction(s, den)
+    return tuple(out)
+
+
+def _dense_matrix(columns):
+    """The Fraction matrix of sparse integer columns (see sigma_matrix)."""
+    cols, den = columns
+    return [list(row) for row in zip(*(_dense_vector(col, den, len(cols)) for col in cols))]
+
+
+def _apply_columns(columns, coords):
+    """Coordinates of M x for the matrix M given as sparse integer columns."""
+    cols, den = columns
+    nums, xden = _scale(coords)
+    acc = [0] * len(cols)
+    for j, a in enumerate(nums):
+        if a:
+            for k, s in cols[j]:
+                acc[k] += a * s
+    return _unscale(acc, den * xden)
 
 
 def plain_field_presentation(basis_labels, structure_constants, unit, name=""):
@@ -453,10 +531,12 @@ def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, s
     unit_ok = all(one * b == b for b in basis)
     report.require("unit element", unit_ok)
 
+    # with commutativity, (i,j,k) fails exactly when (k,j,i) does, so the
+    # first failing triple in lexicographic order has i <= k
     for i in range(p.dim):
         for j in range(p.dim):
             left = (basis[i] * basis[j])
-            for k in range(p.dim):
+            for k in range(i, p.dim):
                 if (left * basis[k]) != basis[i] * (basis[j] * basis[k]):
                     report.require("associativity", False,
                                    f"fails at basis triple ({i},{j},{k})")
@@ -492,7 +572,8 @@ def require_automorphisms(report: Report, p: GaloisExtensionPresentation, mats,
     commute pairwise."""
     basis, ident = p.basis(), linalg.identity(p.dim)
     for i, s in mats.items():
-        sig = lambda x: FieldElement(p, linalg.mat_vec(s, list(x.coords)))
+        cols = _sparse_integer(list(zip(*s)))
+        sig = lambda x: FieldElement(p, _apply_columns(cols, x.coords))
         images = [sig(b) for b in basis]
         hom_ok = sig(p.one()) == p.one() and all(
             sig(basis[a] * basis[b]) == images[a] * images[b]

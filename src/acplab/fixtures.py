@@ -278,12 +278,13 @@ def _tensor_composite(base, ext: SimpleExtension, name):
     def idx(k, j):
         return k * t + j
 
+    base_sc = base.structure_constants
     sc = [[None] * big for _ in range(big)]
     for k1 in range(n):
         for j1 in range(t):
             for k2 in range(n):
                 for j2 in range(t):
-                    kvec = base.structure_constants[k1][k2]
+                    kvec = base_sc[k1][k2]
                     evec = ext.mul_coords(ext.power_coords(j1), ext.power_coords(j2))
                     vec = [_ZERO] * big
                     for k, kv in enumerate(kvec):

@@ -73,8 +73,8 @@ def presentation_to_doc(p: GaloisExtensionPresentation) -> dict:
         "orders": list(p.orders),
         "basis": list(p.basis_labels),
         "unit": _coords(p.unit_coords),
-        "structure_constants": [[_coords(p.structure_constants[i][j])
-                                 for j in range(p.dim)] for i in range(p.dim)],
+        "structure_constants": [[_coords(vec) for vec in row]
+                                for row in p.structure_constants],
         "sigma": [_matrix(s) for s in p.sigma],
     }
 
