@@ -104,9 +104,8 @@ def cmd_validate(cfg: RunConfig) -> int:
             _emit(cfg, [report])
             return EXIT_PASS if report.ok else EXIT_MATH_FAIL
         if doc["schema"] == serialize.WITNESS_SCHEMA:
-            ext, data = serialize.cocycle_data_from_doc(doc["algebra"])
-        else:
-            ext, data = serialize.cocycle_data_from_doc(doc)
+            doc = doc.get("algebra")
+        ext, data = serialize.cocycle_data_from_doc(doc)
     reports.append(validate_galois_data(ext, seed=cfg.seed))
     reports.append(cp.validate_relations(ext, data))
     _emit(cfg, reports)
@@ -235,26 +234,13 @@ def cmd_graded(cfg: RunConfig) -> int:
         reports.append(crit)
 
     pair_rep = Report("commuting homogeneous pairs")
-    coeffs = [ext.one()] + [b for b in ext.basis() if b != ext.one()]
-    exps = [m for m in ext.exponents() if any(m)]
-    checked = 0
-    witnesses = []
-    for m in exps:
-        for n in exps:
-            if ext.subgroup_is_cyclic(m, n):
-                continue
-            for c1 in coeffs[:4]:
-                for c2 in coeffs[:4]:
-                    checked += 1
-                    out = graded.pair_degeneracy_check(
-                        graded.homog(c1, m), graded.homog(c2, n))
-                    if out:
-                        witnesses.append(out.witness)
-                        if not cp.check_pair_witness(alg, out.witness):
-                            pair_rep.require("emitted witness passes", False,
-                                             str(out.witness))
+    scan = graded.commuting_pair_scan()
+    witnesses = scan.witnesses
+    for w in witnesses:
+        if not cp.check_pair_witness(alg, w):
+            pair_rep.require("emitted witness passes", False, str(w))
     pair_rep.require("every commuting noncyclic pair emitted a passing witness",
-                     True, f"{len(witnesses)} witnesses from {checked} pairs")
+                     True, f"{len(witnesses)} witnesses from {scan.checked} pairs")
     if not witnesses and wit is not None and cp.check_strong_witness(alg, wit):
         witnesses.append(cp.strong_to_pair_witness(alg, wit))
     if witnesses:

@@ -141,6 +141,12 @@ class PairDegeneracyOutcome:
         return self.commute and self.noncyclic
 
 
+@dataclass
+class PairScan:
+    checked: int
+    witnesses: list
+
+
 @dataclass(frozen=True)
 class CentralScaling:
     """A central monomial f = coeff * x^exps with rational coeff."""
@@ -305,6 +311,29 @@ class GradedCrossedProduct:
                 raise InternalInconsistencyError(
                     "commuting pair produced a failing witness")
         return PairDegeneracyOutcome(commute, noncyclic, witness)
+
+    def commuting_pair_scan(self) -> PairScan:
+        """pair_degeneracy_check on c1*z^m and c2*z^n for every ordered pair
+        of nonzero exponents m, n spanning a noncyclic subgroup and every
+        c1, c2 among 1 and the first three other basis elements; returns the
+        number of pairs checked and the emitted witnesses in scan order."""
+        ext = self.ext
+        coeffs = ([ext.one()] + [b for b in ext.basis() if b != ext.one()])[:4]
+        exps = [m for m in ext.exponents() if any(m)]
+        checked = 0
+        witnesses = []
+        for m in exps:
+            for n in exps:
+                if ext.subgroup_is_cyclic(m, n):
+                    continue
+                for c1 in coeffs:
+                    for c2 in coeffs:
+                        checked += 1
+                        out = self.pair_degeneracy_check(
+                            self.homog(c1, m), self.homog(c2, n))
+                        if out:
+                            witnesses.append(out.witness)
+        return PairScan(checked, witnesses)
 
     def witness_pair_elements(self, witness: cp.DegeneracyPairWitness):
         """The commuting homogeneous pair attached to a pair witness."""

@@ -1,6 +1,12 @@
 """Exact linear algebra over rationals: RREF, rank, solve, nullspace, inverse.
 
-Matrices are lists of lists of Fraction; vectors are lists of Fraction.
+Matrices are lists of lists of int or Fraction; vectors are lists of
+Fraction.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
+A Course in Computational Algebraic Number Theory, 2.2): each row is scaled
+to integers by the lcm of its denominators, and every elimination step
+divides exactly by the previous pivot.  `rref` returns integer rows with
+rows == d * RREF for one common integer d, the last pivot, so rank, solve,
+nullspace and invert build a Fraction only for an entry they return.
 Everything is deterministic (no pivot heuristics beyond first-nonzero), so
 downstream callers get reproducible kernels and solutions.
 """
@@ -8,6 +14,7 @@ downstream callers get reproducible kernels and solutions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,12 +57,26 @@ def mat_pow(m, k):
     return out
 
 
+def _fraction(num, den):
+    return Fraction(num, den) if num else ZERO
+
+
 def rref(matrix):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
+    """Fraction-free reduced row echelon form.
+
+    Returns (rows, pivot_columns, d): integer rows with rows == d * RREF of
+    the matrix, where d is the common value of every pivot entry (1 when
+    there is no pivot).
+    """
+    rows = []
+    for row in matrix:
+        # unpack a list, not a generator (see field_core._scale)
+        den = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot = None
@@ -66,18 +87,25 @@ def rref(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != ONE:
-            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
+        # Bareiss step: every entry stays a minor of the input, so the
+        # division by the previous pivot is exact, and the earlier pivot
+        # entries all become pv
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], prow)]
+            elif pv != prev:
+                rows[i] = [pv * a // prev for a in rows[i]]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, prev
 
 
 def rank(matrix):
@@ -89,7 +117,7 @@ def nullspace(matrix):
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
+    rows, pivots, d = rref(matrix)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -98,7 +126,7 @@ def nullspace(matrix):
         v = [ZERO] * ncols
         v[free] = ONE
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
+            v[c] = _fraction(-rows[r][free], d)
         basis.append(v)
     return basis
 
@@ -106,21 +134,21 @@ def nullspace(matrix):
 def solve(matrix, rhs):
     """One solution of matrix @ x = rhs, or None if inconsistent."""
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    rows, pivots = rref(aug)
+    rows, pivots, d = rref(aug)
     ncols = len(matrix[0])
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
+        x[c] = _fraction(rows[r][ncols], d)
     return x
 
 
 def invert(matrix):
     """Matrix inverse, or None if singular."""
     n = len(matrix)
-    aug = [list(matrix[i]) + identity(n)[i] for i in range(n)]
-    rows, pivots = rref(aug)
+    aug = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows, pivots, d = rref(aug)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in rows[:n]]
+    return [[_fraction(x, d) for x in row[n:]] for row in rows[:n]]

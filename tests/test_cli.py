@@ -1,9 +1,13 @@
 """Exit codes, determinism, and report formats of the batch front door."""
 
+import contextlib
+import copy
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acplab import cli, serialize
 from acplab import crossed_product as cp
@@ -58,6 +62,57 @@ def test_validate_perturbed_fixture(tmp_path, capsys, keys, value, expected):
     code, _out, err = run(["validate", "--fixture", str(path)], capsys)
     assert code == expected
     assert len(err.splitlines()) <= 1
+
+
+LEAVES = st.one_of(
+    st.integers(-2, 4), st.none(), st.booleans(), st.just(0.5), st.just([]), st.just({}),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "",
+                     serialize.PRESENTATION_SCHEMA, serialize.ALGEBRA_SCHEMA,
+                     serialize.WITNESS_SCHEMA, serialize.COMPOSITE_SCHEMA]))
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """doc with one to three edits, each at a random node: replaced by a
+    leaf, deleted, duplicated in its list, or wrapped in a list."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or draw(st.integers(0, 4))):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        edit = draw(st.sampled_from(["replace", "delete", "duplicate", "wrap"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        elif edit == "wrap":
+            parent[key] = [node]
+        else:
+            parent[key] = draw(LEAVES)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURE_DIR.glob("*.json")))
+def test_validate_mutated_fixture(tmp_path, name):
+    path = tmp_path / name
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(mutated_documents(json.loads((FIXTURE_DIR / name).read_text())))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--fixture", str(path)])
+        assert code in (cli.EXIT_PASS, cli.EXIT_MATH_FAIL, cli.EXIT_IO,
+                        cli.EXIT_EXHAUSTED)
+        assert len(err.getvalue().splitlines()) <= 1
+
+    check()
 
 
 def test_analyze_finds_witness(capsys):
