@@ -152,7 +152,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         pair_rep.require("pair witness found", True, str(pair_outcome.witness))
     else:
         pair_rep.note(pair_outcome.message)
-    if ext.rank == 2 and ext.orders[0] == ext.orders[1]:
+    if cp.pair_fast_path_applies(ext):
         pair_rep.note("rank-2 fast path applies: a single twist entry decides")
     reports.append(pair_rep)
 

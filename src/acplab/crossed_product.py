@@ -764,6 +764,13 @@ def search_strong_degeneracy(alg, candidates=None, budget=None) -> SearchOutcome
     return SearchOutcome(None, len(exps), tried, EXHAUSTION_DISCLAIMER)
 
 
+def pair_fast_path_applies(ext) -> bool:
+    """Rank 2 with both generators of one prime order: every noncyclic pair
+    generates the whole group, so the generator pair alone decides pair
+    degeneracy."""
+    return ext.rank == 2 and ext.orders[0] == ext.orders[1] and is_prime(ext.orders[0])
+
+
 def search_pair_degeneracy(alg, candidates=None, max_checks=20000) -> SearchOutcome:
     """Budgeted search for a degeneracy pair witness over candidate pairs.
 
@@ -774,7 +781,7 @@ def search_pair_degeneracy(alg, candidates=None, max_checks=20000) -> SearchOutc
     ext = alg.ext
     if candidates is None:
         candidates = default_candidates(ext)
-    if ext.rank == 2 and ext.orders[0] == ext.orders[1] and is_prime(ext.orders[0]):
+    if pair_fast_path_applies(ext):
         pairs = [(ext.unit_exponent(0), ext.unit_exponent(1))]
     else:
         exps = ext.exponents()
@@ -798,18 +805,6 @@ def search_pair_degeneracy(alg, candidates=None, max_checks=20000) -> SearchOutc
                     return SearchOutcome(w, len(pairs), checks,
                                          f"pair witness found at (m={m}, n={n})")
     return SearchOutcome(None, len(pairs), checks, EXHAUSTION_DISCLAIMER)
-
-
-def rank2_degeneracy_check(alg, a: FieldElement, b: FieldElement) -> bool:
-    """Rank-2 elementary-abelian fast path: the single twist entry lies in
-    the group of twisted ratios iff (a, b) exhibit it."""
-    ext = alg.ext
-    if ext.rank != 2 or ext.orders[0] != ext.orders[1] or not is_prime(ext.orders[0]):
-        raise ValueError("rank-2 check requires two generators of equal prime order")
-    lhs = alg.data.twists[0][1]
-    rhs = _twist_ratio(ext, ext.unit_exponent(0), a) \
-        * _twist_ratio(ext, ext.unit_exponent(1), b)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------- #

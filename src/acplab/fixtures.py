@@ -1,17 +1,24 @@
-"""Built-in fixtures.
+"""Built-in presentations, algebras, witnesses and composites.
 
-instance-b   : K generated over the rationals by square roots of 2 and 3,
-               group C2 x C2, twist -1, generator squares (3, 5).
-instance-b3  : K the compositum of the real cubic subfields of the 7th and
-               9th cyclotomic fields (minimal polynomials x^3+x^2-2x-1 and
-               x^3-3x+1, generator action g -> g^2-2 on each), group C3 x C3,
-               with a nontrivial strongly degenerate twist built from a
-               telescoping coefficient, generator cubes (2, 3).
+Every built-in field is a tensor product of simple extensions Q[c]/(f),
+each given by the reduction c^deg = tail(c) and, when it is Galois, by the
+image of c under a generating automorphism:
 
-Structure constants are produced by exact univariate polynomial reduction
-and re-verified by validate_galois_data before tests rely on them.  All
-builders are cached so elements from repeated calls share one presentation
-object.
+instance-b   : Q(sqrt2) (x) Q(sqrt3), group C2 x C2, twist -1, generator
+               squares (3, 5).
+instance-b3  : the real cubic subfields of the 7th and 9th cyclotomic fields
+               (x^3+x^2-2x-1 and x^3-3x+1, action g -> g^2-2 on each), group
+               C3 x C3, with a nontrivial strongly degenerate twist built
+               from a telescoping coefficient, generator cubes (2, 3).
+b-cuberoot2  : instance-b (x) Q(cube root of 2), no relative automorphisms.
+b3-sqrt5     : instance-b3 (x) Q(sqrt5), relative group generated by 1 (x) tau.
+
+tensor_presentation is the one construction behind all of them: the
+structure constants, unit and labels of left (x) right on the product basis,
+left index slowest, with automorphisms supplied as Kronecker products.  The
+data are re-verified by validate_galois_data (fields) and validate_composite
+(composites) before anything relies on them.  All builders are cached so
+elements from repeated calls share one presentation object.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from functools import lru_cache
 
 from .crossed_product import CocycleData, CrossedProductAlgebra, StrongDegeneracyWitness
 from .field_core import GaloisExtensionPresentation, plain_field_presentation
+from .linalg import identity
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,45 +47,11 @@ class SimpleExtension:
 
     def power_coords(self, d):
         """Coordinates of c^d, reducing by the defining relation."""
-        coords = [_ZERO] * self.deg
-        coords[0] = _ONE
+        coords = [_ONE] + [_ZERO] * (self.deg - 1)
         for _ in range(d):
-            coords = self._shift(coords)
+            top = coords[-1]
+            coords = [a + top * Fraction(t) for a, t in zip([_ZERO] + coords[:-1], self.tail)]
         return coords
-
-    def _shift(self, coords):
-        out = [_ZERO] + [Fraction(x) for x in coords[:-1]]
-        top = coords[-1]
-        if top:
-            for k, t in enumerate(self.tail):
-                out[k] += top * Fraction(t)
-        return out
-
-    def mul_coords(self, x, y):
-        prod = [_ZERO] * (2 * self.deg - 1)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    prod[i + j] += xi * yj
-        out = prod[:self.deg]
-        for d in range(self.deg, len(prod)):
-            if prod[d]:
-                pw = self.power_coords(d)
-                out = [a + prod[d] * b for a, b in zip(out, pw)]
-        return out
-
-    def eval_poly(self, image, coords):
-        """coords(c) evaluated at the polynomial image(c)."""
-        out = [_ZERO] * self.deg
-        power = [_ZERO] * self.deg
-        power[0] = _ONE
-        for x in coords:
-            if x:
-                out = [a + Fraction(x) * b for a, b in zip(out, power)]
-            power = self.mul_coords(power, list(image))
-        return out
 
     def labels(self):
         out = []
@@ -92,68 +66,51 @@ class SimpleExtension:
 
     def presentation(self, name=""):
         """Plain (rank-0) field presentation on the power basis."""
-        basis = [self.power_coords(j) for j in range(self.deg)]
-        sc = [[self.mul_coords(basis[i], basis[j]) for j in range(self.deg)]
-              for i in range(self.deg)]
-        unit = [_ONE] + [_ZERO] * (self.deg - 1)
-        return plain_field_presentation(self.labels(), sc, unit, name=name)
+        sc = [[self.power_coords(i + j) for j in range(self.deg)] for i in range(self.deg)]
+        return plain_field_presentation(self.labels(), sc, self.power_coords(0), name=name)
+
+    def automorphism(self):
+        """Matrix of c -> auto_image on the power basis: column j holds
+        auto_image^j, multiplied out in the presentation."""
+        image = self.presentation().element(self.auto_image)
+        return [list(row) for row in zip(*((image ** j).coords for j in range(self.deg)))]
+
+
+def _kron(a, b):
+    """Kronecker product of two matrices given as lists of rows, left index
+    slowest; zero products are the shared _ZERO."""
+    return [[x * y if x and y else _ZERO for x in ra for y in rb] for ra in a for rb in b]
+
+
+def tensor_presentation(left, right, orders, sigma, name="", labels=None):
+    """left (x) right on the basis e_i (x) f_j at index i * right.dim + j.
+
+    The structure constants, unit and (unless given) labels are those of
+    the tensor product; the group orders and one automorphism matrix per
+    generator on the product basis come from the caller."""
+    lsc, rsc = left.structure_constants, right.structure_constants
+    sc = [[_kron([lsc[i1][j1]], [rsc[i2][j2]])[0]
+           for j1 in range(left.dim) for j2 in range(right.dim)]
+          for i1 in range(left.dim) for i2 in range(right.dim)]
+    unit = _kron([left.unit_coords], [right.unit_coords])[0]
+    if labels is None:
+        labels = ["*".join(p for p in (a, b) if p != "1") or "1"
+                  for a in left.basis_labels for b in right.basis_labels]
+    return GaloisExtensionPresentation(orders, labels, sc, unit, sigma, name=name)
+
+
+_RATIONALS = plain_field_presentation(["1"], [[[_ONE]]], [_ONE])
 
 
 def tensor_galois_presentation(factors, orders, name="", labels=None):
     """Tensor of simple extensions on the product power basis, with the
-    automorphism of each factor acting on its own tensor slot."""
-    import itertools
-    from math import prod
-
-    factors = list(factors)
-    degs = [f.deg for f in factors]
-    n = prod(degs)
-    multis = list(itertools.product(*(range(d) for d in degs)))
-    position = {m: i for i, m in enumerate(multis)}
-
-    def tensor_vec(parts):
-        vec = [_ZERO] * n
-        for m in multis:
-            coeff = _ONE
-            for f, mf in enumerate(m):
-                coeff *= parts[f][mf]
-                if not coeff:
-                    break
-            if coeff:
-                vec[position[m]] += coeff
-        return vec
-
-    sc = [[None] * n for _ in range(n)]
-    for a in multis:
-        for b in multis:
-            parts = [factors[f].mul_coords(factors[f].power_coords(a[f]),
-                                           factors[f].power_coords(b[f]))
-                     for f in range(len(factors))]
-            sc[position[a]][position[b]] = tensor_vec(parts)
-
-    unit = [_ZERO] * n
-    unit[0] = _ONE
-
-    sigma = []
-    for slot, f in enumerate(factors):
-        mat = [[_ZERO] * n for _ in range(n)]
-        for a in multis:
-            img = f.eval_poly(f.auto_image, f.power_coords(a[slot]))
-            for k, v in enumerate(img):
-                if v:
-                    target = a[:slot] + (k,) + a[slot + 1:]
-                    mat[position[target]][position[a]] += v
-        sigma.append(mat)
-
-    if labels is None:
-        factor_labels = [f.labels() for f in factors]
-        labels = []
-        for m in multis:
-            parts = [factor_labels[f][mf] for f, mf in enumerate(m)
-                     if factor_labels[f][mf] != "1"]
-            labels.append("*".join(parts) if parts else "1")
-
-    return GaloisExtensionPresentation(orders, labels, sc, unit, sigma, name=name)
+    automorphism of each factor acting on its own tensor slot:
+    s_slot = 1 (x) ... (x) tau (x) ... (x) 1."""
+    *init, last = factors
+    left = tensor_galois_presentation(init, orders[:-1]) if init else _RATIONALS
+    sigma = [_kron(s, identity(last.deg)) for s in left.sigma]
+    sigma.append(_kron(identity(left.dim), last.automorphism()))
+    return tensor_presentation(left, last.presentation(), orders, sigma, name, labels)
 
 
 # ---------------------------------------------------------------------- #
@@ -270,71 +227,18 @@ def trivial_composite(base):
 
 
 def _tensor_composite(base, ext: SimpleExtension, name):
+    """base (x) E with the group acting on the base slot, K embedded as
+    1 (x) e_0 and the relative automorphism 1 (x) tau when E is Galois."""
     from .extension_lab import build_tensor_extension
 
-    n, t = base.dim, ext.deg
-    big = n * t
-
-    def idx(k, j):
-        return k * t + j
-
-    base_sc = base.structure_constants
-    sc = [[None] * big for _ in range(big)]
-    for k1 in range(n):
-        for j1 in range(t):
-            for k2 in range(n):
-                for j2 in range(t):
-                    kvec = base_sc[k1][k2]
-                    evec = ext.mul_coords(ext.power_coords(j1), ext.power_coords(j2))
-                    vec = [_ZERO] * big
-                    for k, kv in enumerate(kvec):
-                        if not kv:
-                            continue
-                        for j, ev in enumerate(evec):
-                            if ev:
-                                vec[idx(k, j)] += kv * ev
-                    sc[idx(k1, j1)][idx(k2, j2)] = vec
-
-    unit = [_ZERO] * big
-    for k, u in enumerate(base.unit_coords):
-        unit[idx(k, 0)] = u
-
-    labels = []
-    elabels = ext.labels()
-    for k in range(n):
-        for j in range(t):
-            parts = [p for p in (base.basis_labels[k], elabels[j]) if p != "1"]
-            labels.append("*".join(parts) if parts else "1")
-
-    sigma = []
-    for s in base.sigma:
-        mat = [[_ZERO] * big for _ in range(big)]
-        for k1 in range(n):
-            for k2 in range(n):
-                if s[k1][k2]:
-                    for j in range(t):
-                        mat[idx(k1, j)][idx(k2, j)] = s[k1][k2]
-        sigma.append(mat)
-
-    composite = GaloisExtensionPresentation(
-        base.orders, labels, sc, unit, sigma, name=f"{name}-composite")
-
-    embed = [[_ZERO] * n for _ in range(big)]
-    for k in range(n):
-        embed[idx(k, 0)][k] = _ONE
-
+    ext_pres = ext.presentation(name=f"{name}-coefficients")
+    sigma = [_kron(s, identity(ext.deg)) for s in base.sigma]
+    composite = tensor_presentation(base, ext_pres, base.orders, sigma,
+                                    name=f"{name}-composite")
+    embed = _kron(identity(base.dim), [[_ONE]] + [[_ZERO]] * (ext.deg - 1))
     rel_gal = []
     if ext.auto_image is not None and ext.deg > 1:
-        mat = [[_ZERO] * big for _ in range(big)]
-        for k in range(n):
-            for j in range(t):
-                img = ext.eval_poly(ext.auto_image, ext.power_coords(j))
-                for jj, v in enumerate(img):
-                    if v:
-                        mat[idx(k, jj)][idx(k, j)] += v
-        rel_gal.append(mat)
-
-    ext_pres = ext.presentation(name=f"{name}-coefficients")
+        rel_gal.append(_kron(identity(base.dim), ext.automorphism()))
     return build_tensor_extension(base, ext_pres, composite, embed, rel_gal)
 
 

@@ -22,13 +22,17 @@ Schema family (all documents carry a "schema" tag):
       embed: dense (dim composite) x (dim base) matrix
       rel_gal: list of dense square matrices
 
-Scalars are strings "p" or "p/q" in lowest terms.  Dumps sort keys and use
-a fixed indent, so re-serializing identical data is byte-identical.
+Scalars are strings "p" or "p/q" in lowest terms.  Reading accepts exactly
+those forms and JSON integers, each part at most 4300 digits; anything else
+(exponents, decimals, signs on the denominator) is a FormatError.  Dumps sort
+keys and use a fixed indent, so re-serializing identical data is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .crossed_product import CocycleData, CrossedProductAlgebra, StrongDegeneracyWitness
@@ -47,10 +51,20 @@ def _scalar(x) -> str:
     return str(Fraction(x))
 
 
+_SCALAR = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+_MAX_DIGITS = 4300     # CPython's default limit for int <-> str conversion
+
+
 def _parse_scalar(s) -> Fraction:
+    """A "p" or "p/q" literal (or a JSON integer); anything else, including
+    exponents, decimals and parts over _MAX_DIGITS digits, is a FormatError."""
+    text = str(s)
+    match = _SCALAR.fullmatch(text)
+    if match is None or any(len(part) > _MAX_DIGITS for part in match.groups() if part):
+        raise FormatError(f"bad scalar literal {s!r}")
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise FormatError(f"bad scalar literal {s!r}") from exc
 
 
@@ -260,7 +274,7 @@ def load_document(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc:
         raise FormatError(f"{path} carries no schema tag")

@@ -49,8 +49,10 @@ def test_validate_missing_file(capsys):
     (("extension", "orders"), [2.5, 2], cli.EXIT_IO),
     (("twists",), [[["1", "0", "0", "0"], ["-1", "0", "0", "0"]]], cli.EXIT_IO),
     (("extension", "unit"), ["0"] * 4, cli.EXIT_MATH_FAIL),
+    (("twists", 0, 1, 0), "1e100000", cli.EXIT_IO),
+    (("twists", 0, 1, 0), "1e1000000", cli.EXIT_IO),
 ], ids=["inversion-rule", "string-order", "float-order", "one-row-twists",
-        "zero-unit"])
+        "zero-unit", "exponent-literal", "huge-exponent-literal"])
 def test_validate_perturbed_fixture(tmp_path, capsys, keys, value, expected):
     doc = serialize.load_document(FIXTURE_DIR / "instance-b.json")
     target = doc

@@ -5,6 +5,7 @@ import pytest
 from acplab import crossed_product as cp
 from acplab import fixtures
 from acplab.errors import MixedContextError, WitnessError
+from acplab.field_core import GaloisExtensionPresentation
 
 
 def test_relations_pass_on_fixtures(b_algebra, b3_algebra):
@@ -274,20 +275,29 @@ def test_pair_search(b_algebra):
     assert not out.found
 
 
-def test_rank2_check(b_algebra, b3_algebra, b3_witness):
+def test_pair_witness_at_generator_pair(b_algebra, b3_algebra, b3_witness, b_field):
+    def generator_pair(alg, a, b):
+        ext = alg.ext
+        return cp.DegeneracyPairWitness(ext.unit_exponent(0), ext.unit_exponent(1), a, b)
+
     k = b_algebra.ext
     sqrt2 = k.basis_element(2)
-    assert cp.rank2_degeneracy_check(b_algebra, sqrt2, k.one())
-    assert not cp.rank2_degeneracy_check(b_algebra, k.one(), k.one())
+    assert cp.check_pair_witness(b_algebra, generator_pair(b_algebra, sqrt2, k.one()))
+    assert not cp.check_pair_witness(b_algebra, generator_pair(b_algebra, k.one(), k.one()))
     k3 = b3_algebra.ext
     l = b3_witness.coeff
-    assert cp.rank2_degeneracy_check(b3_algebra, k3.inv(l), k3.one())
+    assert cp.check_pair_witness(b3_algebra, generator_pair(b3_algebra, k3.inv(l), k3.one()))
+    alg = cp.CrossedProductAlgebra(b_field, fixtures.trivial_cocycle(b_field))
+    assert cp.check_pair_witness(alg, generator_pair(alg, b_field.one(), b_field.one()))
 
 
-def test_rank2_check_requires_matching_orders(b_field):
-    alg = cp.CrossedProductAlgebra(
-        b_field, fixtures.trivial_cocycle(b_field))
-    assert cp.rank2_degeneracy_check(alg, b_field.one(), b_field.one())
+@pytest.mark.parametrize("orders, expected", [
+    ((2, 2), True), ((3, 3), True), ((4, 4), False), ((2, 3), False), ((2,), False),
+])
+def test_pair_fast_path_needs_one_prime_order(orders, expected):
+    # the constructor checks shapes only, so a dim-1 presentation carries any orders
+    ext = GaloisExtensionPresentation(orders, ["1"], [[[1]]], [1], [[[1]]] * len(orders))
+    assert cp.pair_fast_path_applies(ext) is expected
 
 
 # -------------------------------------------------------------------- #

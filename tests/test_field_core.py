@@ -223,6 +223,27 @@ def test_plain_field_presentation_validates():
     assert c ** 3 == pres.scalar(2)
 
 
+def test_tensor_of_one_factor_is_that_factor():
+    zero, one = Fraction(0), Fraction(1)
+    sqrt2 = fixtures.SimpleExtension("r", 2, (Fraction(2), zero), auto_image=(zero, -one))
+    k = fixtures.tensor_galois_presentation([sqrt2], (2,), name="rank1")
+    assert k.orders == (2,)
+    assert k.basis_labels == ("1", "r")
+    assert k.structure_constants == [[(one, zero), (zero, one)], [(zero, one), (2 * one, zero)]]
+    assert k.unit_coords == (one, zero)
+    assert k.sigma == [[[one, zero], [zero, -one]]]
+
+
+def test_tensor_of_mixed_degrees_validates():
+    cubic7 = fixtures._cubic_factors()[0]
+    sqrt5 = fixtures.SimpleExtension("sqrt5", 2, (Fraction(5), Fraction(0)),
+                                     auto_image=(Fraction(0), Fraction(-1)))
+    k = fixtures.tensor_galois_presentation([cubic7, sqrt5], (3, 2), name="c7-sqrt5")
+    assert k.dim == 6
+    assert k.basis_labels == ("1", "sqrt5", "a", "a*sqrt5", "a^2", "a^2*sqrt5")
+    assert validate_galois_data(k).ok
+
+
 def test_scalar_detection(b_field):
     assert b_field.scalar(7).is_scalar()
     assert not b_field.basis_element(2).is_scalar()

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acplab import fixtures
+from acplab.extension_lab import validate_composite
 from acplab.field_core import GaloisExtensionPresentation, validate_galois_data
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -136,6 +138,15 @@ def test_rebased_presentation_is_a_galois_extension():
     assert any(c.denominator > 1 for row in p.structure_constants for vec in row for c in vec)
     assert any(c.denominator > 1 for s in p.sigma for row in s for c in row)
     assert validate_galois_data(p).ok
+
+
+def test_trivial_composite_with_unit_off_the_first_basis_vector():
+    p = PRESENTATIONS["instance-b-rebased"]
+    assert p.unit_coords != (1, 0, 0, 0)
+    comp = fixtures.trivial_composite(p)
+    assert comp.composite.unit_coords == p.unit_coords
+    assert validate_composite(comp.base, comp.ext_field, comp.composite,
+                              comp.embed, comp.rel_gal).ok
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,23 @@ def test_scalar_literals():
     assert '"-1"' in flat or '"1"' in flat
     with pytest.raises(FormatError):
         serialize._parse_scalar("not-a-number")
+    assert serialize._parse_scalar(-7) == -7
+    assert serialize._parse_scalar("-3/4") == Fraction(-3, 4)
+    assert serialize._parse_scalar("9" * 4300) == int("9" * 4300)
+    for bad in ("1e5", "1.5", "1_000", " 3 ", "+3", "3/-4", "1/0", 0.5, True,
+                "9" * 4301, "1/" + "9" * 4301):
+        with pytest.raises(FormatError):
+            serialize._parse_scalar(bad)
+
+
+def test_integer_past_digit_limit_is_a_format_error(tmp_path, b_field):
+    # json rejects it on Python >= 3.11, _parse_scalar's digit bound before that
+    doc = serialize.presentation_to_doc(b_field)
+    doc["unit"][0] = "LONG"
+    path = tmp_path / "long.json"
+    path.write_text(serialize.dumps(doc).replace('"LONG"', "1" + "0" * 5000))
+    with pytest.raises(FormatError):
+        serialize.presentation_from_doc(serialize.load_document(path))
 
 
 def test_shipped_files_match_builders(tmp_path):
