@@ -275,20 +275,24 @@ def test_pair_search(b_algebra):
     assert not out.found
 
 
-def test_pair_witness_at_generator_pair(b_algebra, b3_algebra, b3_witness, b_field):
-    def generator_pair(alg, a, b):
-        ext = alg.ext
-        return cp.DegeneracyPairWitness(ext.unit_exponent(0), ext.unit_exponent(1), a, b)
+def _generator_pair(alg, a, b):
+    ext = alg.ext
+    return cp.DegeneracyPairWitness(ext.unit_exponent(0), ext.unit_exponent(1), a, b)
 
+
+def test_rank2_check(b_algebra, b3_algebra, b3_witness):
     k = b_algebra.ext
     sqrt2 = k.basis_element(2)
-    assert cp.check_pair_witness(b_algebra, generator_pair(b_algebra, sqrt2, k.one()))
-    assert not cp.check_pair_witness(b_algebra, generator_pair(b_algebra, k.one(), k.one()))
+    assert cp.check_pair_witness(b_algebra, _generator_pair(b_algebra, sqrt2, k.one()))
+    assert not cp.check_pair_witness(b_algebra, _generator_pair(b_algebra, k.one(), k.one()))
     k3 = b3_algebra.ext
     l = b3_witness.coeff
-    assert cp.check_pair_witness(b3_algebra, generator_pair(b3_algebra, k3.inv(l), k3.one()))
+    assert cp.check_pair_witness(b3_algebra, _generator_pair(b3_algebra, k3.inv(l), k3.one()))
+
+
+def test_rank2_check_requires_matching_orders(b_field):
     alg = cp.CrossedProductAlgebra(b_field, fixtures.trivial_cocycle(b_field))
-    assert cp.check_pair_witness(alg, generator_pair(alg, b_field.one(), b_field.one()))
+    assert cp.check_pair_witness(alg, _generator_pair(alg, b_field.one(), b_field.one()))
 
 
 @pytest.mark.parametrize("orders, expected", [
