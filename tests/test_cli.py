@@ -142,6 +142,17 @@ def test_graded_command(capsys):
     assert "absence audit" in out
 
 
+def test_graded_failing_pair_witness_is_a_math_failure(monkeypatch, capsys):
+    """The pair scan checks every witness it emits; a failing one ends the
+    command with one message, not a report."""
+    monkeypatch.setattr(cp, "check_pair_witness", lambda alg, w: False)
+    code, out, err = run(["graded", "--fixture", "instance-b"], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert out == ""
+    assert err.splitlines() == [
+        "mathematical failure: commuting pair produced a failing witness"]
+
+
 def test_graded_rejects_cyclic_group(tmp_path, capsys):
     from fractions import Fraction
 

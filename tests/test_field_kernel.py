@@ -3,16 +3,20 @@
 The reference below reads the presentation data straight from the shipped
 JSON documents (or builds it here), multiplies with dense Fraction loops
 and never calls the package's arithmetic, so it checks the product,
-apply_automorphism and trace independently of the code under test.
+apply_automorphism and trace independently of the code under test.  The
+composite maps (embed_element, orbit_product, relative_norm) are checked
+the same way against dense Fraction matrix products written here.
 """
 
 import json
 import pathlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acplab import extension_lab as xl
 from acplab import fixtures
 from acplab.extension_lab import validate_composite
 from acplab.field_core import GaloisExtensionPresentation, validate_galois_data
@@ -173,3 +177,68 @@ def test_kernel_matches_fraction_reference(name, data):
         assert hash(image) == hash(p.element(expected))
 
     assert p.trace(x) == ref_trace(raw, xc)
+
+
+def ref_apply(mat, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat]
+
+
+def ref_kron_identity(n, mat):
+    """1 (x) mat on the product basis, left index slowest."""
+    d = len(mat)
+    return [[mat[i % d][j % d] if i // d == j // d else Fraction(0)
+             for j in range(n * d)] for i in range(n * d)]
+
+
+def _composite_reference(comp, embed, tau):
+    """(composite, dense embed, dense powers of tau over one full orbit)."""
+    powers = [tau]
+    while powers[-1] != [[Fraction(int(i == j)) for j in range(len(tau))]
+                         for i in range(len(tau))]:
+        powers.append(ref_matmul(tau, powers[-1]))
+    assert len(powers) == comp.t
+    return comp, embed, powers
+
+
+@lru_cache(maxsize=None)
+def _b3_sqrt5():
+    doc = json.loads((FIXTURE_DIR / "composite-b3-sqrt5.json").read_text())
+    embed = [[Fraction(x) for x in row] for row in doc["embed"]]
+    tau = [[Fraction(x) for x in row] for row in doc["rel_gal"][0]]
+    return _composite_reference(fixtures.composite_b3_sqrt5(), embed, tau)
+
+
+@lru_cache(maxsize=None)
+def _rebased_cubic7():
+    """The cyclic cubic field of conductor 7 over the rebased instance-b: K
+    at the basis positions 3a, the relative group generated by 1 (x) tau."""
+    base = PRESENTATIONS["instance-b-rebased"]
+    cubic = fixtures._cubic_factors()[0]
+    comp = fixtures._tensor_composite(base, cubic, "rebased-cubic7")
+    embed = [[Fraction(int(i == 3 * a)) for a in range(base.dim)] for i in range(3 * base.dim)]
+    tau = ref_kron_identity(base.dim, [[Fraction(x) for x in row] for row in cubic.automorphism()])
+    return _composite_reference(comp, embed, tau)
+
+
+COMPOSITES = {"b3-sqrt5": _b3_sqrt5, "instance-b-rebased-cubic7": _rebased_cubic7}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_composite_maps_match_fraction_reference(name, data):
+    comp, embed, powers = COMPOSITES[name]()
+    k, big = comp.base, comp.composite
+    xc = data.draw(coords(k.dim), label="x")
+    yc = data.draw(coords(big.dim), label="y")
+
+    up = xl.embed_element(comp, k.element(xc))
+    assert list(up.coords) == ref_apply(embed, xc)
+    assert hash(up) == hash(big.element(ref_apply(embed, xc)))
+
+    expected = big.one()
+    for mat in powers:
+        expected = expected * big.element(ref_apply(mat, yc))
+    y = big.element(yc)
+    assert xl.orbit_product(comp, y) == expected
+    assert xl.embed_element(comp, xl.relative_norm(comp, y)) == expected
