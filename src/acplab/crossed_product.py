@@ -488,13 +488,8 @@ class CrossedProductAlgebra(MonomialContext):
         return self.table[(g, h)], self.ext.exp_add(g, h), self._carries[(g, h)]
 
     def commutator(self, m, n) -> FieldElement:
-        """The unique scalar u with z^m z^n = u * z^n z^m."""
-        zm = self.monomial(self.ext.one(), self.ext.exp_canon(m))
-        zn = self.monomial(self.ext.one(), self.ext.exp_canon(n))
-        left = self.mul(zm, zn)
-        right = self.mul(zn, zm)
-        exp = self.ext.exp_add(m, n)
-        return left.coefficient(exp) / right.coefficient(exp)
+        """The unique scalar u with z^m z^n = u * z^n z^m: c(m, n) / c(n, m)."""
+        return self.cocycle(m, n) / self.cocycle(n, m)
 
     def is_central(self, x: MonomialCombination) -> bool:
         """Commutation against the finite generating set: K-basis and z_i."""

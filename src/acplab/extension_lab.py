@@ -29,22 +29,34 @@ from .crossed_product import (CocycleData, CrossedProductAlgebra,
                               power_cocycle)
 from .errors import (InternalInconsistencyError, MixedContextError,
                      PresentationError, WitnessError)
-from .field_core import (FieldElement, GaloisExtensionPresentation,
+from .field_core import (FieldElement, GaloisExtensionPresentation, _apply_columns,
+                         _columns, _compose, _dense_matrix, _identity, _is_multiplicative,
                          common_prime, require_automorphisms, validate_field_data)
 from .reporting import Report
+
 
 @dataclass
 class CompositeExtension:
     """Verified composite data: K inside KE with the group acting, E the
-    degree-t coefficient field, rel_gal automorphisms of KE fixing K."""
+    degree-t coefficient field, rel_gal automorphisms of KE fixing K.  The
+    maps are held as columns (field_core._sparse_integer); embed and rel_gal
+    read them back as dense Fraction matrices."""
 
     base: GaloisExtensionPresentation
     ext_field: GaloisExtensionPresentation
     composite: GaloisExtensionPresentation
-    embed: list
-    rel_gal: list
+    embed_columns: tuple
+    rel_gal_columns: tuple
     t: int
     _module: tuple = field(default=(), repr=False, compare=False)
+
+    @property
+    def embed(self):
+        return _dense_matrix(self.embed_columns, self.composite.dim)
+
+    @property
+    def rel_gal(self):
+        return [_dense_matrix(tau, self.composite.dim) for tau in self.rel_gal_columns]
 
 
 def validate_composite(base, ext_field, composite, embed, rel_gal,
@@ -56,7 +68,8 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
     if not report.require("dimension bookkeeping", big == n * t,
                           f"{big} != {n} * {t}"):
         return report
-    report.require("same group signature", composite.orders == base.orders)
+    if not report.require("same group signature", composite.orders == base.orders):
+        return report
 
     efield = validate_field_data(ext_field, samples=samples, seed=seed)
     report.require("coefficient field axioms", efield.ok,
@@ -69,31 +82,16 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
         report.require("embedding shape", False, f"need {big} x {n}")
         return report
     emb = [[Fraction(x) for x in row] for row in embed]
-
-    def embed_coords(coords):
-        return linalg.mat_vec(emb, list(coords))
-
-    one_ok = embed_coords(base.unit_coords) == list(composite.unit_coords)
-    report.require("embedding preserves the unit", one_ok)
+    emb_map = _columns(emb)
+    report.require("embedding preserves the unit", _apply_columns(
+        emb_map, base.unit_coords, big) == list(composite.unit_coords))
     report.require("embedding injective", linalg.rank(emb) == n)
-
-    hom_ok = True
-    images = [composite.element(embed_coords(base.basis_element(a).coords))
-              for a in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            prod_down = base.basis_element(a) * base.basis_element(b)
-            if composite.element(embed_coords(prod_down.coords)) != images[a] * images[b]:
-                hom_ok = False
-                break
-        if not hom_ok:
-            break
-    report.require("embedding is a ring homomorphism", hom_ok)
-
+    report.require("embedding is a ring homomorphism",
+                   _is_multiplicative(base, composite, emb_map))
     report.require("embedding commutes with the group action", all(
-        linalg.mat_mul(composite.sigma[i], emb) == linalg.mat_mul(emb, base.sigma[i])
-        for i in range(base.rank)))
-    require_automorphisms(report, composite, dict(enumerate(composite.sigma)),
+        _compose(s, emb_map) == _compose(emb_map, r)
+        for s, r in zip(composite._generators, base._generators)))
+    require_automorphisms(report, composite, dict(enumerate(composite._generators)),
                           "composite sigma", composite.orders)
 
     fixed = composite.joint_fixed_subspace()
@@ -104,10 +102,10 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
         if len(tau) != big or any(len(row) != big for row in tau):
             report.require(f"rel_gal[{idx}] shape", False)
             continue
-        tmat = [[Fraction(x) for x in row] for row in tau]
+        tau_map = _columns([[Fraction(x) for x in row] for row in tau])
         report.require(f"rel_gal[{idx}] fixes the embedded subfield",
-                       linalg.mat_mul(tmat, emb) == emb)
-        require_automorphisms(report, composite, {idx: tmat}, "rel_gal")
+                       _compose(tau_map, emb_map) == emb_map)
+        require_automorphisms(report, composite, {idx: tau_map}, "rel_gal")
 
     p = common_prime(base.orders)
     if p is None:
@@ -125,10 +123,8 @@ def build_tensor_extension(base, ext_field, composite, embed, rel_gal) -> Compos
     if not report.ok:
         raise PresentationError(
             "composite rejected: " + "; ".join(c.name for c in report.failures()))
-    emb = [[Fraction(x) for x in row] for row in embed]
-    rel = [[[Fraction(x) for x in row] for row in tau] for tau in rel_gal]
-    return CompositeExtension(base, ext_field, composite, emb, rel,
-                              ext_field.dim)
+    return CompositeExtension(base, ext_field, composite, _columns(embed),
+                              tuple(_columns(tau) for tau in rel_gal), ext_field.dim)
 
 
 # ---------------------------------------------------------------------- #
@@ -138,7 +134,8 @@ def build_tensor_extension(base, ext_field, composite, embed, rel_gal) -> Compos
 def embed_element(comp: CompositeExtension, x: FieldElement) -> FieldElement:
     if x.field is not comp.base:
         raise MixedContextError("element is not over the base field")
-    return comp.composite.element(linalg.mat_vec(comp.embed, list(x.coords)))
+    return FieldElement(comp.composite,
+                        _apply_columns(comp.embed_columns, x.coords, comp.composite.dim))
 
 
 def restrict_element(comp: CompositeExtension, y: FieldElement) -> FieldElement:
@@ -152,7 +149,7 @@ def restrict_element(comp: CompositeExtension, y: FieldElement) -> FieldElement:
 
 def _module_data(comp: CompositeExtension):
     """A K-basis v_1..v_t of the composite plus the inverse of the change
-    of coordinates; cached on the composite."""
+    of coordinates as a linear map (columns); cached on the composite."""
     if comp._module:
         return comp._module
     n, big, t = comp.base.dim, comp.composite.dim, comp.t
@@ -171,12 +168,11 @@ def _module_data(comp: CompositeExtension):
     if len(vs) != t:
         raise InternalInconsistencyError("failed to build a module basis")
     # column (b*n + a) holds embed(e_a) * v_b
-    cols = [list((images[a] * vs[b]).coords) for b in range(t) for a in range(n)]
-    matrix = [[cols[j][i] for j in range(big)] for i in range(big)]
-    inverse = linalg.invert(matrix)
+    cols = [(images[a] * vs[b]).coords for b in range(t) for a in range(n)]
+    inverse = linalg.invert([list(row) for row in zip(*cols)])
     if inverse is None:
         raise InternalInconsistencyError("module coordinate matrix is singular")
-    comp._module = (tuple(vs), inverse)
+    comp._module = (tuple(vs), _columns(inverse))
     return comp._module
 
 
@@ -187,13 +183,10 @@ def relative_norm(comp: CompositeExtension, y: FieldElement) -> FieldElement:
         raise MixedContextError("element is not over the composite")
     vs, inverse = _module_data(comp)
     n, t = comp.base.dim, comp.t
-    matrix = []
-    for _ in range(t):
-        matrix.append([None] * t)
-    for b in range(t):
-        coords = linalg.mat_vec(inverse, list((y * vs[b]).coords))
-        for b2 in range(t):
-            matrix[b2][b] = comp.base.element(coords[b2 * n:(b2 + 1) * n])
+    # column b holds the K-coordinates of y * v_b
+    cols = [_apply_columns(inverse, (y * v).coords, n * t) for v in vs]
+    matrix = [[FieldElement(comp.base, c[b2 * n:(b2 + 1) * n]) for c in cols]
+              for b2 in range(t)]
     return _det_over_field(comp.base, matrix)
 
 
@@ -220,25 +213,20 @@ def _det_over_field(fld, rows):
 
 
 def relative_group(comp: CompositeExtension):
-    """Closure of rel_gal under composition, as matrices."""
-    ident = linalg.identity(comp.composite.dim)
-    seen = {_mat_key(ident): ident}
+    """Closure of rel_gal under composition, as linear maps (columns)."""
+    ident = _identity(comp.composite.dim)
+    seen = {ident}
     frontier = [ident]
     while frontier:
         cur = frontier.pop()
-        for g in comp.rel_gal:
-            nxt = linalg.mat_mul(g, cur)
-            key = _mat_key(nxt)
-            if key not in seen:
+        for g in comp.rel_gal_columns:
+            nxt = _compose(g, cur)
+            if nxt not in seen:
                 if len(seen) > 4 * comp.t + 4:
                     raise PresentationError("relative automorphisms do not close up")
-                seen[key] = nxt
+                seen.add(nxt)
                 frontier.append(nxt)
-    return list(seen.values())
-
-
-def _mat_key(m):
-    return tuple(tuple(row) for row in m)
+    return list(seen)
 
 
 def orbit_product(comp: CompositeExtension, y: FieldElement) -> FieldElement:
@@ -246,7 +234,8 @@ def orbit_product(comp: CompositeExtension, y: FieldElement) -> FieldElement:
     that group has full order t)."""
     out = comp.composite.one()
     for tau in relative_group(comp):
-        out = out * comp.composite.element(linalg.mat_vec(tau, list(y.coords)))
+        out = out * FieldElement(comp.composite,
+                                 _apply_columns(tau, y.coords, comp.composite.dim))
     return out
 
 

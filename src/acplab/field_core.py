@@ -17,6 +17,10 @@ constants and each automorphism power are stored once as sparse integer
 numerators over one common denominator, each operand is scaled by the lcm
 of its coordinate denominators, products are accumulated in Python ints,
 and the result is divided once and handed back as normalised Fractions.
+Every linear map (here and in extension_lab) is held that way, as canonical
+sparse integer columns (_sparse_integer) that compare and hash by value,
+applied by _apply_columns and composed by _compose; dense Fraction matrices
+are only constructor input, serialized output and elimination input.
 """
 
 from __future__ import annotations
@@ -139,7 +143,8 @@ class GaloisExtensionPresentation:
     """K/F via structure constants plus commuting automorphism generators.
 
     structure_constants[i][j] is the coordinate vector of basis_i * basis_j.
-    sigma[i] is an n x n matrix acting on coordinate column vectors.
+    sigma[i] is an n x n matrix acting on coordinate column vectors; it is
+    held as columns (see _sparse_integer) and read back densely.
     Shape problems raise PresentationError immediately; the mathematical
     invariants (field axioms, automorphism laws, fixed-line condition) are
     the job of validate_galois_data, which reports rather than raises.
@@ -174,15 +179,14 @@ class GaloisExtensionPresentation:
         if not any(self.unit_coords):
             raise PresentationError("unit vector is zero")
 
-        self.sigma = []
-        for mat in sigma:
-            if len(mat) != self.dim or any(len(row) != self.dim for row in mat):
-                raise PresentationError("automorphism matrices must be n x n")
-            self.sigma.append([[Fraction(x) for x in row] for row in mat])
-        if len(self.sigma) != self.rank:
+        if any(len(mat) != self.dim or any(len(row) != self.dim for row in mat)
+               for mat in sigma):
+            raise PresentationError("automorphism matrices must be n x n")
+        if len(sigma) != self.rank:
             raise PresentationError("need one automorphism matrix per generator")
-
-        self._sigma_cache: dict[tuple, tuple] = {}
+        self._generators = tuple(_columns([[Fraction(x) for x in row] for row in mat])
+                                 for mat in sigma)
+        self._sigma_cache = {self.unit_exponent(i): s for i, s in enumerate(self._generators)}
         self._exp_order_cache: dict[tuple, int] = {}
 
     @property
@@ -191,6 +195,11 @@ class GaloisExtensionPresentation:
         derived from the integer table on each access."""
         return [[_dense_vector(entry, self._table_den, self.dim) for entry in row]
                 for row in self._table]
+
+    @property
+    def sigma(self):
+        """sigma[i]: the dense matrix of generator i, derived on each access."""
+        return [_dense_matrix(s, self.dim) for s in self._generators]
 
     # ------------------------------------------------------------------ #
     # element constructors
@@ -345,16 +354,16 @@ class GaloisExtensionPresentation:
         m = self.exp_canon(m)
         cached = self._sigma_cache.get(m)
         if cached is None:
-            mat = linalg.identity(self.dim)
-            for i, mi in enumerate(m):
+            cached = _identity(self.dim)
+            for s, mi in zip(self._generators, m):
                 for _ in range(mi):
-                    mat = linalg.mat_mul(self.sigma[i], mat)
-            cached = self._sigma_cache[m] = _sparse_integer(list(zip(*mat)))
+                    cached = _compose(s, cached)
+            self._sigma_cache[m] = cached
         return cached
 
     def apply_automorphism(self, m, x: FieldElement) -> FieldElement:
         self._check(x)
-        return FieldElement(self, _apply_columns(self.sigma_matrix(m), x.coords))
+        return FieldElement(self, _apply_columns(self.sigma_matrix(m), x.coords, self.dim))
 
     def norm_along(self, m, x: FieldElement) -> FieldElement:
         """N_m(x): the product of x over the cyclic group generated by s^m."""
@@ -378,20 +387,16 @@ class GaloisExtensionPresentation:
 
     def fixed_subspace(self, m):
         """F-basis of the kernel of (s^m - id), as field elements."""
-        s = _dense_matrix(self.sigma_matrix(m))
-        delta = [[s[i][j] - (_ONE if i == j else _ZERO) for j in range(self.dim)]
-                 for i in range(self.dim)]
-        return [FieldElement(self, v) for v in linalg.nullspace(delta)]
+        return self._fixed_by([self.sigma_matrix(m)])
 
     def joint_fixed_subspace(self):
-        rows = []
-        for i in range(self.rank):
-            s = self.sigma[i]
-            rows.extend([s[a][j] - (_ONE if a == j else _ZERO) for j in range(self.dim)]
-                        for a in range(self.dim))
-        if not rows:
-            rows = [[_ZERO] * self.dim]
-        return [FieldElement(self, v) for v in linalg.nullspace(rows)]
+        return self._fixed_by(self._generators)
+
+    def _fixed_by(self, maps):
+        """F-basis of the elements that every map fixes (all of K for none)."""
+        rows = [[a - (_ONE if i == j else _ZERO) for j, a in enumerate(row)]
+                for s in maps for i, row in enumerate(_dense_matrix(s, self.dim))]
+        return [FieldElement(self, v) for v in linalg.nullspace(rows or [[_ZERO] * self.dim])]
 
     def hilbert90_solve(self, m, c: FieldElement):
         """Some x with s^m(x) = c*x, or None when no solution exists.
@@ -406,7 +411,7 @@ class GaloisExtensionPresentation:
         m = self.exp_canon(m)
         if not any(m):
             raise ValueError("hilbert90_solve requires a nontrivial exponent")
-        s = _dense_matrix(self.sigma_matrix(m))
+        s = _dense_matrix(self.sigma_matrix(m), self.dim)
         mc = self.multiplication_matrix(c)
         delta = [[s[i][j] - mc[i][j] for j in range(self.dim)] for i in range(self.dim)]
         kernel = linalg.nullspace(delta)
@@ -463,22 +468,48 @@ def _dense_vector(entry, den, n):
     return tuple(out)
 
 
-def _dense_matrix(columns):
-    """The Fraction matrix of sparse integer columns (see sigma_matrix)."""
+def _columns(matrix):
+    """A dense matrix, given as a list of rows, as a linear map (columns, den)."""
+    return _sparse_integer(list(zip(*matrix)))
+
+
+def _identity(n):
+    return tuple(((j, 1),) for j in range(n)), 1
+
+
+def _dense_matrix(columns, rows):
+    """The Fraction matrix, as a list of rows, of a linear map with that
+    many rows."""
     cols, den = columns
-    return [list(row) for row in zip(*(_dense_vector(col, den, len(cols)) for col in cols))]
+    return [list(row) for row in zip(*(_dense_vector(col, den, rows) for col in cols))]
 
 
-def _apply_columns(columns, coords):
-    """Coordinates of M x for the matrix M given as sparse integer columns."""
+def _apply_columns(columns, coords, rows):
+    """Coordinates of M x for the linear map M with that many rows."""
     cols, den = columns
     nums, xden = _scale(coords)
-    acc = [0] * len(cols)
+    acc = [0] * rows
     for j, a in enumerate(nums):
         if a:
             for k, s in cols[j]:
                 acc[k] += a * s
     return _unscale(acc, den * xden)
+
+
+def _compose(a, b):
+    """The linear map A B, in the same canonical form as _sparse_integer."""
+    acols, aden = a
+    bcols, bden = b
+    out = []
+    for col in bcols:
+        acc = {}
+        for j, s in col:
+            for k, t in acols[j]:
+                acc[k] = acc.get(k, 0) + s * t
+        out.append([(k, v) for k, v in sorted(acc.items()) if v])
+    den = aden * bden
+    g = gcd(den, *[v for col in out for _k, v in col])
+    return tuple(tuple((k, v // g) for k, v in col) for col in out), den // g
 
 
 def plain_field_presentation(basis_labels, structure_constants, unit, name=""):
@@ -563,33 +594,39 @@ def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, s
     report.require("trace form nondegenerate", linalg.rank(gram) == p.dim)
 
 
-def require_automorphisms(report: Report, p: GaloisExtensionPresentation, mats,
+def _is_multiplicative(source, target, columns):
+    """True when the linear map source -> target is multiplicative on
+    unordered basis pairs, which suffices when source is commutative."""
+    basis = source.basis()
+    image = lambda x: FieldElement(target, _apply_columns(columns, x.coords, target.dim))
+    images = [image(b) for b in basis]
+    return all(image(basis[a] * basis[b]) == images[a] * images[b]
+               for a in range(source.dim) for b in range(a, source.dim))
+
+
+def require_automorphisms(report: Report, p: GaloisExtensionPresentation, maps,
                           label, orders=None):
-    """Require each matrix mats[i] to be a ring automorphism of p (1 -> 1 and
-    multiplicative on unordered basis pairs, which suffices when p is
-    commutative) under the check name f"{label}[i]"; with orders, also
-    require that mats[i] has exact order orders[i] and that the matrices
-    commute pairwise."""
-    basis, ident = p.basis(), linalg.identity(p.dim)
-    for i, s in mats.items():
-        cols = _sparse_integer(list(zip(*s)))
-        sig = lambda x: FieldElement(p, _apply_columns(cols, x.coords))
-        images = [sig(b) for b in basis]
-        hom_ok = sig(p.one()) == p.one() and all(
-            sig(basis[a] * basis[b]) == images[a] * images[b]
-            for a in range(p.dim) for b in range(a, p.dim))
+    """Require each linear map maps[i], given as columns, to be a ring
+    automorphism of p (1 -> 1 and multiplicative) under the check name
+    f"{label}[i]"; with orders, also require that maps[i] has exact order
+    orders[i] and that the maps commute pairwise."""
+    ident = _identity(p.dim)
+    for i, s in maps.items():
+        hom_ok = (_apply_columns(s, p.unit_coords, p.dim) == list(p.unit_coords)
+                  and _is_multiplicative(p, p, s))
         report.require(f"{label}[{i}] is a ring automorphism", hom_ok)
         if orders is None:
             continue
-        order_exact = linalg.mat_pow(s, orders[i]) == ident and all(
-            linalg.mat_pow(s, k) != ident for k in range(1, orders[i]))
+        power, k = s, 1
+        while power != ident and k < orders[i]:
+            power, k = _compose(s, power), k + 1
+        order_exact = power == ident and k == orders[i]
         report.require(f"{label}[{i}] order == {orders[i]}", order_exact,
                        "" if order_exact else f"{label}[{i}] order != {orders[i]}")
     if orders is not None:
-        for i, j in itertools.combinations(mats, 2):
-            report.require(
-                f"{label}[{i}] and sigma[{j}] commute",
-                linalg.mat_mul(mats[i], mats[j]) == linalg.mat_mul(mats[j], mats[i]))
+        for i, j in itertools.combinations(maps, 2):
+            report.require(f"{label}[{i}] and sigma[{j}] commute",
+                           _compose(maps[i], maps[j]) == _compose(maps[j], maps[i]))
 
 
 def validate_galois_data(p: GaloisExtensionPresentation, samples=8, seed=0) -> Report:
@@ -606,7 +643,7 @@ def validate_galois_data(p: GaloisExtensionPresentation, samples=8, seed=0) -> R
     report.note(f"field axioms semi-verified: invertibility sampled with seed={seed}")
     _validate_ring_axioms(p, report, rng, samples)
 
-    require_automorphisms(report, p, dict(enumerate(p.sigma)), "sigma", p.orders)
+    require_automorphisms(report, p, dict(enumerate(p._generators)), "sigma", p.orders)
     fixed = p.joint_fixed_subspace()
     line_ok = len(fixed) == 1 and p.scalar_part(fixed[0]) is not None
     report.require("joint fixed subspace is the scalar line", line_ok,

@@ -392,20 +392,10 @@ class GradedCrossedProduct:
         return ResidueCocycle(data, tuple(scalings), report)
 
     def _value_lattice_index(self) -> int:
-        """Index of the base lattice, computed by closing the generator
-        values under addition modulo integer vectors."""
-        seen = {(0,) * self.ext.rank}
-        frontier = [(0,) * self.ext.rank]
-        gen_fracs = [self.value_of(self.generator(i)).fracs
-                     for i in range(self.ext.rank)]
-        while frontier:
-            cur = frontier.pop()
-            for g in gen_fracs:
-                nxt = tuple((a + b) % n for a, b, n in zip(cur, g, self.ext.orders))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen)
+        """Index of the base lattice: the size of the group the generator
+        values generate modulo integer vectors."""
+        return len(self.ext.subgroup_exponents(
+            [self.value_of(self.generator(i)).fracs for i in range(self.ext.rank)]))
 
     def semiramification_report(self) -> Report:
         """Value-lattice index vs residue degree vs total dimension.

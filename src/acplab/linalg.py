@@ -1,7 +1,9 @@
-"""Exact linear algebra over rationals: RREF, rank, solve, nullspace, inverse.
+"""Exact elimination over rationals: RREF, rank, solve, nullspace, inverse.
 
 Matrices are lists of lists of int or Fraction; vectors are lists of
-Fraction.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
+Fraction.  This module only eliminates: linear maps are applied and
+composed as sparse integer columns in field_core, and a dense matrix is
+built only as input here.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
 A Course in Computational Algebraic Number Theory, 2.2): each row is scaled
 to integers by the lcm of its denominators, and every elimination step
 divides exactly by the previous pivot.  `rref` returns integer rows with
@@ -22,39 +24,6 @@ ONE = Fraction(1)
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_vec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in m]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if not aik:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                if brow[j]:
-                    orow[j] += aik * brow[j]
-    return out
-
-
-def mat_pow(m, k):
-    n = len(m)
-    out = identity(n)
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return out
 
 
 def _fraction(num, den):

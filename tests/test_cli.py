@@ -188,6 +188,20 @@ def test_descend_command(capsys):
     assert "stage 5" in out
 
 
+def test_descend_composite_over_a_smaller_group(tmp_path, capsys):
+    doc = serialize.load_document(FIXTURE_DIR / "composite-b-cuberoot2.json")
+    del doc["composite"]["orders"][-1]
+    del doc["composite"]["sigma"][-1]
+    path = tmp_path / "smaller.json"
+    serialize.save(path, doc)
+    code, out, err = run(["descend", "--fixture", "instance-b", "--composite", str(path),
+                          "--exponent", "2"], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert out == ""
+    assert err.splitlines() == [
+        "mathematical failure: composite rejected: same group signature"]
+
+
 def test_descend_requires_exponent(capsys):
     code, _out, err = run(
         ["descend", "--fixture", "instance-b", "--composite", "b-cuberoot2"],

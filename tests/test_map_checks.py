@@ -33,8 +33,10 @@ def _permutation(images):
 
 
 def _with_sigma(p, sigma):
-    return GaloisExtensionPresentation(p.orders, p.basis_labels, p.structure_constants,
-                                       p.unit_coords, sigma, name=p.name)
+    """p with the given generators, keeping the first len(sigma) orders."""
+    return GaloisExtensionPresentation(p.orders[:len(sigma)], p.basis_labels,
+                                       p.structure_constants, p.unit_coords, sigma,
+                                       name=p.name)
 
 
 def _b():
@@ -87,6 +89,8 @@ COMPOSITE_CASES = {
     # fixes K (x) 1, doubles the rest
     "rel-gal-automorphism": _composite_case(rel_gal=lambda c: [_diag(*[1, 2, 2] * 4)]),
     "rel-gal-shape": _composite_case(rel_gal=lambda c: [c.rel_gal[0][:-1], c.rel_gal[0]]),
+    # one generator fewer than the base: validation stops at the signature
+    "smaller-group": _composite_case(sigma=lambda c: c.composite.sigma[:1]),
 }
 
 
@@ -167,6 +171,10 @@ EXPECTED_COMPOSITE = {
         ("rel_gal[1] fixes the embedded subfield", True, ""),
         ("rel_gal[1] is a ring automorphism", True, ""),
     ] + COPRIME,
+    "smaller-group": [
+        ("dimension bookkeeping", True, "12 != 4 * 3"),
+        ("same group signature", False, ""),
+    ],
 }
 
 
