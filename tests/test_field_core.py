@@ -268,3 +268,70 @@ def test_exponent_orders(b3_field):
     assert len(b3_field.prime_order_exponents()) == 8
     assert not b3_field.subgroup_is_cyclic((1, 0), (0, 1))
     assert b3_field.subgroup_is_cyclic((1, 0), (2, 0))
+
+
+def _pairs(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
+SIGMA_PASS = [
+    ("sigma[0] is a ring automorphism", True, ""),
+    ("sigma[0] order == 2", True, ""),
+    ("sigma[1] is a ring automorphism", True, ""),
+    ("sigma[1] order == 2", True, ""),
+    ("sigma[0] and sigma[1] commute", True, ""),
+]
+
+
+def test_validation_pins_a_commutativity_failure(b_field):
+    """An asymmetric perturbation stops the ring checks at the first
+    asymmetric basis pair; the Galois checks still run."""
+    sc = [[list(vec) for vec in row] for row in b_field.structure_constants]
+    sc[1][2][0] += 1
+    broken = GaloisExtensionPresentation(
+        b_field.orders, b_field.basis_labels, sc, b_field.unit_coords,
+        b_field.sigma, name="noncommutative")
+    assert _pairs(validate_galois_data(broken)) == [
+        ("commutativity", False, "basis sqrt3 * sqrt2 asymmetric"),
+        ("sigma[0] is a ring automorphism", False, ""),
+        ("sigma[0] order == 2", True, ""),
+        ("sigma[1] is a ring automorphism", False, ""),
+        ("sigma[1] order == 2", True, ""),
+        ("sigma[0] and sigma[1] commute", True, ""),
+        ("joint fixed subspace is the scalar line", True, "fixed dimension 1"),
+    ]
+
+
+def test_validation_pins_a_unit_failure(b_field):
+    """With unit vector 2*1 the table is still a commutative ring, but the
+    supplied unit is not its unit."""
+    broken = GaloisExtensionPresentation(
+        b_field.orders, b_field.basis_labels, b_field.structure_constants,
+        [2, 0, 0, 0], b_field.sigma, name="bad-unit")
+    assert _pairs(validate_galois_data(broken)) == [
+        ("commutativity", True, ""),
+        ("unit element", False, ""),
+        ("associativity", True, ""),
+        ("invertibility (basis + sampled elements)", True,
+         "4 basis + 8 sampled elements invert"),
+        ("trace form nondegenerate", True, ""),
+        *SIGMA_PASS,
+        ("joint fixed subspace is the scalar line", True, "fixed dimension 1"),
+    ]
+
+
+def test_validation_pins_a_trace_form_failure():
+    """The dual numbers Q[x]/(x^2): commutative, associative and unital,
+    but x is nilpotent, so x has no inverse and the trace form is
+    degenerate."""
+    one, zero = Fraction(1), Fraction(0)
+    dual = plain_field_presentation(("1", "x"), [[(one, zero), (zero, one)],
+                                                 [(zero, one), (zero, zero)]],
+                                    (one, zero), name="dual")
+    assert _pairs(validate_field_data(dual)) == [
+        ("commutativity", True, ""),
+        ("unit element", True, ""),
+        ("associativity", True, ""),
+        ("invertibility (basis + sampled elements)", False, "no inverse for x"),
+        ("trace form nondegenerate", False, ""),
+    ]

@@ -8,8 +8,10 @@ composite maps (embed_element, orbit_product, relative_norm) are checked
 the same way against dense Fraction matrix products written here.
 """
 
+import gc
 import json
 import pathlib
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acplab import extension_lab as xl
-from acplab import fixtures
+from acplab import fixtures, serialize
+from acplab.crossed_product import validate_relations
 from acplab.extension_lab import validate_composite
 from acplab.field_core import GaloisExtensionPresentation, validate_galois_data
 
@@ -179,6 +182,82 @@ def test_kernel_matches_fraction_reference(name, data):
     assert p.trace(x) == ref_trace(raw, xc)
 
 
+def scalars(nonzero=False):
+    # negative and non-integral values included
+    out = st.fractions(-9, 9, max_denominator=7)
+    return out.filter(bool) if nonzero else out
+
+
+def ref_scalar_part(unit, x):
+    pivot = next(k for k, u in enumerate(unit) if u)
+    q = x[pivot] / unit[pivot]
+    return q if all(c == q * u for c, u in zip(x, unit)) else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_element_operations_match_fraction_reference(name, data):
+    p, raw = PRESENTATIONS[name], CASES[name]
+    unit = raw[3]
+    xc = data.draw(coords(p.dim).filter(any), label="x")
+    yc = data.draw(coords(p.dim), label="y")
+    q = data.draw(scalars(), label="q")
+    r = data.draw(scalars(nonzero=True), label="r")
+    x, y = p.element(xc), p.element(yc)
+
+    assert list((x + y).coords) == [a + b for a, b in zip(xc, yc)]
+    assert list((x - y).coords) == [a - b for a, b in zip(xc, yc)]
+    assert list((-x).coords) == [-a for a in xc]
+    assert list((x * q).coords) == list((q * x).coords) == [q * a for a in xc]
+    assert list((x / r).coords) == [a / r for a in xc]
+    assert list((x + q).coords) == list((q + x).coords) == [a + q * u for a, u in zip(xc, unit)]
+    assert list((x - q).coords) == [a - q * u for a, u in zip(xc, unit)]
+    assert list(p.scalar(q).coords) == [q * u for u in unit]
+
+    inverse = p.inv(x)
+    assert ref_mul(raw, list(inverse.coords), xc) == unit
+    assert list((y / x).coords) == ref_mul(raw, yc, list(inverse.coords))
+    assert list((x ** -2).coords) == ref_mul(raw, list(inverse.coords), list(inverse.coords))
+    assert x ** -1 == inverse and x ** 0 == p.one()
+
+    assert p.scalar_part(x) == ref_scalar_part(unit, xc)
+    assert x.is_scalar() == (ref_scalar_part(unit, xc) is not None)
+    assert p.scalar_part(p.scalar(q)) == q and p.scalar(q).is_scalar()
+    assert p.scalar_part(p.zero()) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_equal_values_are_equal_across_construction_routes(name, data):
+    p = PRESENTATIONS[name]
+    xc = data.draw(coords(p.dim), label="x")
+    yc = data.draw(coords(p.dim), label="y")
+    r = data.draw(scalars(nonzero=True), label="r")
+    x, y = p.element(xc), p.element(yc)
+
+    routes = [
+        (p.element([a / 2 for a in xc]), x * Fraction(1, 2)),
+        (p.element([a / 2 for a in xc]), x / 2),
+        (x, (x + y) - y),
+        (x, (x * r) / r),
+        (x, -(-x)),
+        (p.zero(), x - x),
+        (p.zero(), x * 0),
+        (p.zero(), p.element([0] * p.dim)),
+        (p.scalar(r), p.one() * r),
+        (p.scalar(r), r * p.one()),
+        (p.one(), p.scalar(1)),
+        (p.one(), p.element(p.unit_coords)),
+        (p.basis_element(0), p.element([1] + [0] * (p.dim - 1))),
+        (x + y, y + x),
+    ]
+    for a, b in routes:
+        assert a == b and hash(a) == hash(b) and a.coords == b.coords
+    assert (x + p.one() == x) is False
+
+
 def ref_apply(mat, v):
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat]
 
@@ -242,3 +321,35 @@ def test_composite_maps_match_fraction_reference(name, data):
     y = big.element(yc)
     assert xl.orbit_product(comp, y) == expected
     assert xl.embed_element(comp, xl.relative_norm(comp, y)) == expected
+
+
+def _parse_validate_and_compute():
+    """Parse instance-b3 and the b3-sqrt5 composite over it, validate both,
+    invert and multiply a few elements; return weak references to the
+    presentations, the algebra and the composite."""
+    alg = serialize.algebra_from_doc(serialize.load_document(FIXTURE_DIR / "instance-b3.json"))
+    comp = serialize.composite_from_doc(
+        serialize.load_document(FIXTURE_DIR / "composite-b3-sqrt5.json"), base=alg.ext)
+    k, big = alg.ext, comp.composite
+    assert validate_galois_data(k).ok and validate_relations(k, alg.data).ok
+    assert validate_composite(comp.base, comp.ext_field, big, comp.embed, comp.rel_gal).ok
+    x = k.basis_element(1) + 2
+    y = big.basis_element(3) - Fraction(1, 3)
+    assert k.inv(x) * x == k.one() and x ** -2 * x * x == k.one()
+    assert big.inv(y) * y == big.one()
+    assert xl.embed_element(comp, xl.relative_norm(comp, y)) == xl.orbit_product(comp, y)
+    assert alg.gen(1) * alg.gen(0) * x != x * alg.gen(0) * alg.gen(1)
+    return [weakref.ref(obj) for obj in (k, big, comp.ext_field, alg, comp)]
+
+
+def test_elements_hold_no_reference_cycles():
+    """Everything parsed for one job is freed by reference counting alone
+    once the last reference goes, as in a CLI run: no element is cached on
+    the presentation it refers to."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _parse_validate_and_compute()
+        assert [r() is None for r in refs] == [True] * len(refs)
+    finally:
+        gc.enable()
