@@ -711,8 +711,8 @@ def default_candidates(ext: GaloisExtensionPresentation):
     out = []
 
     def push(x):
-        if not x.is_zero() and x.coords not in seen:
-            seen.add(x.coords)
+        if not x.is_zero() and x not in seen:
+            seen.add(x)
             out.append(x)
 
     basis = ext.basis()

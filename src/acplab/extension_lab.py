@@ -20,7 +20,6 @@ and deliberately not implemented; reports end at the powered data and say so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -30,8 +29,9 @@ from .crossed_product import (CocycleData, CrossedProductAlgebra,
 from .errors import (InternalInconsistencyError, MixedContextError,
                      PresentationError, WitnessError)
 from .field_core import (FieldElement, GaloisExtensionPresentation, _apply_columns,
-                         _columns, _compose, _dense_matrix, _identity, _is_multiplicative,
-                         common_prime, require_automorphisms, validate_field_data)
+                         _columns, _compose, _dense_matrix, _identity, _image,
+                         _is_multiplicative, _make, _rational, common_prime,
+                         require_automorphisms, validate_field_data)
 from .reporting import Report
 
 
@@ -81,10 +81,10 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
     if len(embed) != big or any(len(row) != n for row in embed):
         report.require("embedding shape", False, f"need {big} x {n}")
         return report
-    emb = [[Fraction(x) for x in row] for row in embed]
+    emb = [[_rational(x) for x in row] for row in embed]
     emb_map = _columns(emb)
-    report.require("embedding preserves the unit", _apply_columns(
-        emb_map, base.unit_coords, big) == list(composite.unit_coords))
+    report.require("embedding preserves the unit",
+                   _image(emb_map, base.one(), composite) == composite.one())
     report.require("embedding injective", linalg.rank(emb) == n)
     report.require("embedding is a ring homomorphism",
                    _is_multiplicative(base, composite, emb_map))
@@ -102,7 +102,7 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
         if len(tau) != big or any(len(row) != big for row in tau):
             report.require(f"rel_gal[{idx}] shape", False)
             continue
-        tau_map = _columns([[Fraction(x) for x in row] for row in tau])
+        tau_map = _columns([[_rational(x) for x in row] for row in tau])
         report.require(f"rel_gal[{idx}] fixes the embedded subfield",
                        _compose(tau_map, emb_map) == emb_map)
         require_automorphisms(report, composite, {idx: tau_map}, "rel_gal")
@@ -134,8 +134,7 @@ def build_tensor_extension(base, ext_field, composite, embed, rel_gal) -> Compos
 def embed_element(comp: CompositeExtension, x: FieldElement) -> FieldElement:
     if x.field is not comp.base:
         raise MixedContextError("element is not over the base field")
-    return FieldElement(comp.composite,
-                        _apply_columns(comp.embed_columns, x.coords, comp.composite.dim))
+    return _image(comp.embed_columns, x, comp.composite)
 
 
 def restrict_element(comp: CompositeExtension, y: FieldElement) -> FieldElement:
@@ -160,11 +159,11 @@ def _module_data(comp: CompositeExtension):
         if len(vs) == t:
             break
         cand = comp.composite.basis_element(cand_idx)
-        if span_rows and linalg.rank(span_rows + [list(cand.coords)]) == linalg.rank(span_rows):
+        if span_rows and linalg.rank(span_rows + [list(cand.nums)]) == linalg.rank(span_rows):
             continue
         vs.append(cand)
         for img in images:
-            span_rows.append(list((img * cand).coords))
+            span_rows.append(list((img * cand).nums))
     if len(vs) != t:
         raise InternalInconsistencyError("failed to build a module basis")
     # column (b*n + a) holds embed(e_a) * v_b
@@ -183,9 +182,12 @@ def relative_norm(comp: CompositeExtension, y: FieldElement) -> FieldElement:
         raise MixedContextError("element is not over the composite")
     vs, inverse = _module_data(comp)
     n, t = comp.base.dim, comp.t
-    # column b holds the K-coordinates of y * v_b
-    cols = [_apply_columns(inverse, (y * v).coords, n * t) for v in vs]
-    matrix = [[FieldElement(comp.base, c[b2 * n:(b2 + 1) * n]) for c in cols]
+    # column b holds the K-coordinates of y * v_b, as numerators over den
+    cols = []
+    for v in vs:
+        yv = y * v
+        cols.append((_apply_columns(inverse, yv.nums, n * t), inverse[1] * yv.den))
+    matrix = [[_make(comp.base, c[b2 * n:(b2 + 1) * n], den) for c, den in cols]
               for b2 in range(t)]
     return _det_over_field(comp.base, matrix)
 
@@ -234,8 +236,7 @@ def orbit_product(comp: CompositeExtension, y: FieldElement) -> FieldElement:
     that group has full order t)."""
     out = comp.composite.one()
     for tau in relative_group(comp):
-        out = out * FieldElement(comp.composite,
-                                 _apply_columns(tau, y.coords, comp.composite.dim))
+        out = out * _image(tau, y, comp.composite)
     return out
 
 

@@ -9,18 +9,25 @@ non-normal coefficient fields of composite extensions.
 
 Group exponents are plain tuples m = (m_1, ..., m_r) with
 0 <= m_i < orders[i]; composition is componentwise addition modulo the
-orders.  All scalars are Fractions, so every identity in this package is
-checked exactly.
+orders.
 
-Multiplication and the Galois action run on integers: the structure
-constants and each automorphism power are stored once as sparse integer
-numerators over one common denominator, each operand is scaled by the lcm
-of its coordinate denominators, products are accumulated in Python ints,
-and the result is divided once and handed back as normalised Fractions.
-Every linear map (here and in extension_lab) is held that way, as canonical
-sparse integer columns (_sparse_integer) that compare and hash by value,
-applied by _apply_columns and composed by _compose; dense Fraction matrices
-are only constructor input, serialized output and elimination input.
+An element holds integer numerators over one positive denominator,
+(nums, den), in normal form: gcd(den, *nums) == 1, and zero is
+(0, ..., 0)/1.  Equal values therefore have equal fields, so equality and
+hashing compare tuples and ints, and every identity in this package is
+checked exactly.  Fractions appear only at the edges: the coords and
+unit_coords accessors, construction from Fraction or int coordinates, the
+values of trace and scalar_part, and element strings.
+
+Arithmetic runs on those integers: the structure constants and each
+automorphism power are stored once as sparse integer numerators over one
+common denominator, products are accumulated in Python ints, and each
+result is normalised once (_make).  Every linear map (here and in
+extension_lab) is held that way, as canonical sparse integer columns
+(_sparse_integer) that compare and hash by value, applied by _apply_columns
+and composed by _compose.  The ring axioms are checked on the integer
+table, and inversion and Hilbert 90 eliminate integer rows; dense Fraction
+matrices are only constructor input and serialized output.
 """
 
 from __future__ import annotations
@@ -34,66 +41,85 @@ from .errors import MixedContextError, PresentationError
 from .reporting import Report
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldElement:
-    """An element of a presented field, stored as basis coordinates."""
+    """An element of a presented field: basis coordinates nums / den, in
+    the normal form of the module docstring."""
 
-    __slots__ = ("field", "coords", "_hash")
+    __slots__ = ("field", "nums", "den", "_hash")
 
     def __init__(self, field, coords):
+        """The element with the given int or Fraction coordinates."""
+        nums, den = _scale([_rational(c) for c in coords])
         self.field = field
-        self.coords = tuple(coords)
+        self.nums = tuple(nums)
+        self.den = den
         self._hash = None
 
+    @property
+    def coords(self):
+        """The coordinates as a tuple of Fractions."""
+        return tuple(_unscale(self.nums, self.den))
+
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.nums)
 
     def is_scalar(self):
         """True when the element lies on the line F*1."""
         return self.field.scalar_part(self) is not None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self.field._check(other)
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, for an element or a number other."""
+        if isinstance(other, FieldElement):
+            self.field._check(other)
+        elif isinstance(other, (int, Fraction)):
             other = self.field.scalar(other)
-        if not isinstance(other, FieldElement):
+        else:
             return NotImplemented
-        self.field._check(other)
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, other.coords)])
+        d, e = self.den, other.den
+        if d == e:
+            return _make(self.field, [a + sign * b for a, b in zip(self.nums, other.nums)], d)
+        return _make(self.field, [a * e + sign * b * d for a, b in zip(self.nums, other.nums)],
+                     d * e)
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return _make(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
+        # the element test first: isinstance against Fraction is an ABC check
+        if isinstance(other, FieldElement):
+            field = self.field
+            field._check(other)
+            return _make(field, field._mul_nums(self.nums, other.nums),
+                         self.den * other.den * field._table_den)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, [q * a for a in self.coords])
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self.field._check(other)
-        return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
+            q = other.numerator
+            return _make(self.field, [q * a for a in self.nums], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, FieldElement):
+            self.field._check(other)
+            return self * self.field.inv(other)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, [a / q for a in self.coords])
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self.field._check(other)
-        return self * self.field.inv(other)
+            if not other:
+                raise ZeroDivisionError("division of a field element by 0")
+            n, d = other.numerator, other.denominator
+            if n < 0:
+                n, d = -n, -d
+            return _make(self.field, [d * a for a in self.nums], self.den * n)
+        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -107,11 +133,12 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+        return (self.field is other.field and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.coords)
+            self._hash = hash((self.nums, self.den))
         return self._hash
 
     def __repr__(self):
@@ -137,6 +164,24 @@ class FieldElement:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+_new_element = object.__new__
+
+
+def _make(field, nums, den):
+    """The element nums / den (den > 0) of field, brought to normal form."""
+    x = _new_element(FieldElement)
+    x.field = field
+    g = gcd(den, *nums) if den != 1 else 1
+    if g == 1:
+        x.nums = tuple(nums)
+        x.den = den
+    else:
+        x.nums = tuple([v // g for v in nums])
+        x.den = den // g
+    x._hash = None
+    return x
 
 
 class GaloisExtensionPresentation:
@@ -167,27 +212,32 @@ class GaloisExtensionPresentation:
             raise PresentationError("structure constant vectors must have length n")
         # basis_i * basis_j = sum(s * basis_k for k, s in _table[i][j]) / _table_den
         entries, self._table_den = _sparse_integer(
-            [[Fraction(x) for x in vec] for row in structure_constants for vec in row])
+            [[_rational(x) for x in vec] for row in structure_constants for vec in row])
         self._table = tuple(entries[i * self.dim:(i + 1) * self.dim] for i in range(self.dim))
         # trace(basis_i) * _table_den: the trace is a linear functional
         self._trace_nums = tuple(sum(s for j, entry in enumerate(row) for k, s in entry if k == j)
                                  for row in self._table)
 
-        self.unit_coords = tuple(Fraction(x) for x in unit)
-        if len(self.unit_coords) != self.dim:
+        unit = [_rational(x) for x in unit]
+        if len(unit) != self.dim:
             raise PresentationError("unit vector has wrong length")
-        if not any(self.unit_coords):
+        if not any(unit):
             raise PresentationError("unit vector is zero")
+        # the unit as plain (nums, den), not as an element, which would
+        # refer back to the presentation and make a reference cycle
+        nums, den = _scale(unit)
+        self._unit = (tuple(nums), den)
 
         if any(len(mat) != self.dim or any(len(row) != self.dim for row in mat)
                for mat in sigma):
             raise PresentationError("automorphism matrices must be n x n")
         if len(sigma) != self.rank:
             raise PresentationError("need one automorphism matrix per generator")
-        self._generators = tuple(_columns([[Fraction(x) for x in row] for row in mat])
+        self._generators = tuple(_columns([[_rational(x) for x in row] for row in mat])
                                  for mat in sigma)
         self._sigma_cache = {self.unit_exponent(i): s for i, s in enumerate(self._generators)}
         self._exp_order_cache: dict[tuple, int] = {}
+        self._cyclic_cache: dict[tuple, bool] = {}
 
     @property
     def structure_constants(self):
@@ -195,6 +245,11 @@ class GaloisExtensionPresentation:
         derived from the integer table on each access."""
         return [[_dense_vector(entry, self._table_den, self.dim) for entry in row]
                 for row in self._table]
+
+    @property
+    def unit_coords(self):
+        """The coordinates of 1 as a tuple of Fractions."""
+        return tuple(_unscale(*self._unit))
 
     @property
     def sigma(self):
@@ -205,42 +260,43 @@ class GaloisExtensionPresentation:
     # element constructors
 
     def element(self, coords) -> FieldElement:
-        coords = [Fraction(x) for x in coords]
+        coords = list(coords)
         if len(coords) != self.dim:
             raise PresentationError(f"expected {self.dim} coordinates, got {len(coords)}")
         return FieldElement(self, coords)
 
     def zero(self):
-        return FieldElement(self, (_ZERO,) * self.dim)
+        return _make(self, (0,) * self.dim, 1)
 
     def one(self):
-        return FieldElement(self, self.unit_coords)
+        return _make(self, *self._unit)
 
     def scalar(self, q) -> FieldElement:
-        q = Fraction(q)
-        return FieldElement(self, [q * u for u in self.unit_coords])
+        q = _rational(q)
+        nums, den = self._unit
+        return _make(self, [q.numerator * u for u in nums], q.denominator * den)
 
     def basis_element(self, k) -> FieldElement:
-        coords = [_ZERO] * self.dim
-        coords[k] = _ONE
-        return FieldElement(self, coords)
+        nums = [0] * self.dim
+        nums[k] = 1
+        return _make(self, nums, 1)
 
     def basis(self):
         return [self.basis_element(k) for k in range(self.dim)]
 
     def random_element(self, rng, span=3, nonzero=True) -> FieldElement:
         while True:
-            coords = [Fraction(rng.randint(-span, span)) for _ in range(self.dim)]
-            if not nonzero or any(coords):
-                return FieldElement(self, coords)
+            nums = [rng.randint(-span, span) for _ in range(self.dim)]
+            if not nonzero or any(nums):
+                return _make(self, nums, 1)
 
     def scalar_part(self, x: FieldElement):
         """The q with x = q*1, or None when x is off the scalar line."""
-        unit = self.unit_coords
+        unit, uden = self._unit
         pivot = next(k for k, u in enumerate(unit) if u)
-        q = x.coords[pivot] / unit[pivot]
-        if all(c == q * u for c, u in zip(x.coords, unit)):
-            return q
+        a, u0 = x.nums[pivot], unit[pivot]
+        if all(c * u0 == a * u for c, u in zip(x.nums, unit)):
+            return Fraction(a * uden, x.den * u0)
         return None
 
     # ------------------------------------------------------------------ #
@@ -250,9 +306,9 @@ class GaloisExtensionPresentation:
         if not isinstance(other, FieldElement) or other.field is not self:
             raise MixedContextError("operands belong to different fields")
 
-    def _mul_coords(self, x, y):
-        xs, xden = _scale(x)
-        ys, yden = _scale(y)
+    def _mul_nums(self, xs, ys):
+        """Numerators of the product of the elements with numerators xs and
+        ys, over the product of their denominators and _table_den."""
         y_terms = [(j, b) for j, b in enumerate(ys) if b]
         acc = [0] * self.dim
         table = self._table
@@ -264,26 +320,34 @@ class GaloisExtensionPresentation:
                 c = a * b
                 for k, s in row[j]:
                     acc[k] += c * s
-        return _unscale(acc, xden * yden * self._table_den)
+        return acc
 
     def multiplication_matrix(self, x: FieldElement):
-        """Matrix of y -> x*y on coordinate columns."""
-        cols = [self._mul_coords(x.coords, self.basis_element(j).coords) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """(rows, den): the integer rows, over den, of the matrix of
+        y -> x*y on coordinate columns."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(x.nums):
+            if a:
+                for j, entry in enumerate(self._table[i]):
+                    for k, s in entry:
+                        rows[k][j] += a * s
+        return rows, x.den * self._table_den
 
     def inv(self, x: FieldElement) -> FieldElement:
         if x.is_zero():
             raise ZeroDivisionError("inversion of 0")
-        sol = linalg.solve(self.multiplication_matrix(x), list(self.unit_coords))
+        rows, den = self.multiplication_matrix(x)
+        unit, uden = self._unit
+        # (rows / den) y = unit / uden exactly when rows (uden * y) = den * unit
+        sol = linalg._solve(rows, [den * u for u in unit])
         if sol is None:
             raise PresentationError(
                 f"multiplication by {x} is singular: presentation is not a field")
-        return FieldElement(self, sol)
+        return _make(self, sol[0], sol[1] * uden)
 
     def trace(self, x: FieldElement) -> Fraction:
-        nums, den = _scale(x.coords)
-        return Fraction(sum(a * t for a, t in zip(nums, self._trace_nums)),
-                        den * self._table_den)
+        return Fraction(sum(a * t for a, t in zip(x.nums, self._trace_nums)),
+                        x.den * self._table_den)
 
     # ------------------------------------------------------------------ #
     # group exponents
@@ -341,9 +405,12 @@ class GaloisExtensionPresentation:
         return seen
 
     def subgroup_is_cyclic(self, m, n) -> bool:
-        sub = self.subgroup_exponents([self.exp_canon(m), self.exp_canon(n)])
-        size = len(sub)
-        return any(self.exp_order(g) == size for g in sub)
+        key = (self.exp_canon(m), self.exp_canon(n))
+        if key not in self._cyclic_cache:
+            sub = self.subgroup_exponents(key)
+            size = len(sub)
+            self._cyclic_cache[key] = any(self.exp_order(g) == size for g in sub)
+        return self._cyclic_cache[key]
 
     # ------------------------------------------------------------------ #
     # Galois action
@@ -363,7 +430,7 @@ class GaloisExtensionPresentation:
 
     def apply_automorphism(self, m, x: FieldElement) -> FieldElement:
         self._check(x)
-        return FieldElement(self, _apply_columns(self.sigma_matrix(m), x.coords, self.dim))
+        return _image(self.sigma_matrix(m), x, self)
 
     def norm_along(self, m, x: FieldElement) -> FieldElement:
         """N_m(x): the product of x over the cyclic group generated by s^m."""
@@ -394,9 +461,14 @@ class GaloisExtensionPresentation:
 
     def _fixed_by(self, maps):
         """F-basis of the elements that every map fixes (all of K for none)."""
-        rows = [[a - (_ONE if i == j else _ZERO) for j, a in enumerate(row)]
-                for s in maps for i, row in enumerate(_dense_matrix(s, self.dim))]
-        return [FieldElement(self, v) for v in linalg.nullspace(rows or [[_ZERO] * self.dim])]
+        rows = []
+        for s in maps:
+            block = _integer_rows(s, self.dim)
+            for i, row in enumerate(block):
+                row[i] -= s[1]
+            rows += block
+        vectors, den = linalg._nullspace(rows or [[0] * self.dim])
+        return [_make(self, v, den) for v in vectors]
 
     def hilbert90_solve(self, m, c: FieldElement):
         """Some x with s^m(x) = c*x, or None when no solution exists.
@@ -411,13 +483,15 @@ class GaloisExtensionPresentation:
         m = self.exp_canon(m)
         if not any(m):
             raise ValueError("hilbert90_solve requires a nontrivial exponent")
-        s = _dense_matrix(self.sigma_matrix(m), self.dim)
-        mc = self.multiplication_matrix(c)
-        delta = [[s[i][j] - mc[i][j] for j in range(self.dim)] for i in range(self.dim)]
-        kernel = linalg.nullspace(delta)
+        s = self.sigma_matrix(m)
+        mc, cden = self.multiplication_matrix(c)
+        # (s - mc / cden) scaled by the two denominators
+        delta = [[cden * a - s[1] * b for a, b in zip(srow, mrow)]
+                 for srow, mrow in zip(_integer_rows(s, self.dim), mc)]
+        kernel, den = linalg._nullspace(delta)
         if not kernel:
             return None
-        x = FieldElement(self, kernel[0])
+        x = _make(self, kernel[0], den)
         if self.apply_automorphism(m, x) != c * x:
             raise PresentationError("kernel vector failed verification; presentation inconsistent")
         return x
@@ -431,9 +505,18 @@ class GaloisExtensionPresentation:
 # integer kernel
 
 
+_EXACT = (int, Fraction)
+
+
+def _rational(x):
+    """x as an int or a Fraction; anything else is converted by Fraction."""
+    return x if type(x) in _EXACT else Fraction(x)
+
+
 def _scale(coords):
-    """(numerators, den): coords == [v / den for v in numerators], with den
-    the lcm of the coordinate denominators."""
+    """(numerators, den): int or Fraction coords == [v / den for v in
+    numerators], with den the lcm of the coordinate denominators, so
+    already in normal form."""
     # unpack a list, not a generator: the argument tuple built from a
     # generator is resized, and each one freed stays on the tuple free list
     # (measured: +0.2 MB retained by one `validate` run on instance-b3)
@@ -449,7 +532,7 @@ def _unscale(nums, den):
 
 
 def _sparse_integer(vectors):
-    """Fraction vectors as (entries, den): entry ((k, s), ...) stands for the
+    """int or Fraction vectors as (entries, den): entry ((k, s), ...) stands for the
     vector sum(s * e_k) / den, zeros dropped, with one den for all of them.
     Equal entries are one shared tuple."""
     den = lcm(*[c.denominator for vec in vectors for c in vec])
@@ -477,23 +560,38 @@ def _identity(n):
     return tuple(((j, 1),) for j in range(n)), 1
 
 
+def _integer_rows(columns, rows):
+    """The integer matrix, as a list of rows over the map's den, of a linear
+    map with that many rows."""
+    cols, _den = columns
+    out = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for k, s in col:
+            out[k][j] = s
+    return out
+
+
 def _dense_matrix(columns, rows):
     """The Fraction matrix, as a list of rows, of a linear map with that
     many rows."""
-    cols, den = columns
-    return [list(row) for row in zip(*(_dense_vector(col, den, rows) for col in cols))]
+    return [_unscale(row, columns[1]) for row in _integer_rows(columns, rows)]
 
 
-def _apply_columns(columns, coords, rows):
-    """Coordinates of M x for the linear map M with that many rows."""
-    cols, den = columns
-    nums, xden = _scale(coords)
+def _apply_columns(columns, nums, rows):
+    """Numerators of M x, over the map's den times x's den, for the linear
+    map M with that many rows and x with numerators nums."""
+    cols, _den = columns
     acc = [0] * rows
     for j, a in enumerate(nums):
         if a:
             for k, s in cols[j]:
                 acc[k] += a * s
-    return _unscale(acc, den * xden)
+    return acc
+
+
+def _image(columns, x, target):
+    """The element M x of target, for the linear map M into target."""
+    return _make(target, _apply_columns(columns, x.nums, target.dim), columns[1] * x.den)
 
 
 def _compose(a, b):
@@ -548,34 +646,48 @@ def common_prime(orders):
 # validation
 
 
+def _combine(entry, products, n):
+    """Numerators of sum(s * products[l] for l, s in entry): a sparse
+    combination of sparse table entries, dense."""
+    acc = [0] * n
+    for l, s in entry:
+        for m, t in products[l]:
+            acc[m] += s * t
+    return acc
+
+
 def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, samples):
-    basis = p.basis()
-    for i in range(p.dim):
-        for j in range(i + 1, p.dim):
-            if basis[i] * basis[j] != basis[j] * basis[i]:
+    """Commutativity, unit, associativity and the trace form are checked on
+    the integer table; invertibility on elements."""
+    table, n = p._table, p.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
                 report.require("commutativity", False,
                                f"basis {p.basis_labels[i]} * {p.basis_labels[j]} asymmetric")
                 return
     report.require("commutativity", True)
 
-    one = p.one()
-    unit_ok = all(one * b == b for b in basis)
-    report.require("unit element", unit_ok)
+    rows, den = p.multiplication_matrix(p.one())
+    report.require("unit element", all(v == (den if j == k else 0)
+                                       for k, row in enumerate(rows) for j, v in enumerate(row)))
 
-    # with commutativity, (i,j,k) fails exactly when (k,j,i) does, so the
-    # first failing triple in lexicographic order has i <= k
-    for i in range(p.dim):
-        for j in range(p.dim):
-            left = (basis[i] * basis[j])
-            for k in range(i, p.dim):
-                if (left * basis[k]) != basis[i] * (basis[j] * basis[k]):
+    # (b_i b_j) b_k = sum_l c_ij^l b_l b_k and b_i (b_j b_k) = sum_l c_jk^l b_i b_l,
+    # with b_l b_k = b_k b_l by commutativity.  Also by commutativity,
+    # (i,j,k) fails exactly when (k,j,i) does, so the first failing triple
+    # in lexicographic order has i <= k
+    for i in range(n):
+        for j in range(n):
+            for k in range(i, n):
+                if _combine(table[i][j], table[k], n) != _combine(table[j][k], table[i], n):
                     report.require("associativity", False,
                                    f"fails at basis triple ({i},{j},{k})")
                     return
     report.require("associativity", True)
 
+    one = p.one()
     bad = None
-    for x in basis + [p.random_element(rng) for _ in range(samples)]:
+    for x in p.basis() + [p.random_element(rng) for _ in range(samples)]:
         if x.is_zero():
             continue
         try:
@@ -590,7 +702,8 @@ def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, s
                    f"no inverse for {bad}" if bad is not None else
                    f"{p.dim} basis + {samples} sampled elements invert")
 
-    gram = [[p.trace(basis[a] * basis[b]) for b in range(p.dim)] for a in range(p.dim)]
+    # trace(b_a b_b), scaled by _table_den ** 2
+    gram = [[sum(s * p._trace_nums[k] for k, s in entry) for entry in row] for row in table]
     report.require("trace form nondegenerate", linalg.rank(gram) == p.dim)
 
 
@@ -598,9 +711,8 @@ def _is_multiplicative(source, target, columns):
     """True when the linear map source -> target is multiplicative on
     unordered basis pairs, which suffices when source is commutative."""
     basis = source.basis()
-    image = lambda x: FieldElement(target, _apply_columns(columns, x.coords, target.dim))
-    images = [image(b) for b in basis]
-    return all(image(basis[a] * basis[b]) == images[a] * images[b]
+    images = [_image(columns, b, target) for b in basis]
+    return all(_image(columns, basis[a] * basis[b], target) == images[a] * images[b]
                for a in range(source.dim) for b in range(a, source.dim))
 
 
@@ -612,8 +724,7 @@ def require_automorphisms(report: Report, p: GaloisExtensionPresentation, maps,
     orders[i] and that the maps commute pairwise."""
     ident = _identity(p.dim)
     for i, s in maps.items():
-        hom_ok = (_apply_columns(s, p.unit_coords, p.dim) == list(p.unit_coords)
-                  and _is_multiplicative(p, p, s))
+        hom_ok = _image(s, p.one(), p) == p.one() and _is_multiplicative(p, p, s)
         report.require(f"{label}[{i}] is a ring automorphism", hom_ok)
         if orders is None:
             continue

@@ -1,14 +1,17 @@
 """Exact elimination over rationals: RREF, rank, solve, nullspace, inverse.
 
 Matrices are lists of lists of int or Fraction; vectors are lists of
-Fraction.  This module only eliminates: linear maps are applied and
-composed as sparse integer columns in field_core, and a dense matrix is
-built only as input here.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
+Fraction, or integer numerators over one positive denominator.  This
+module only eliminates: linear maps are applied and composed as sparse
+integer columns in field_core, and a dense matrix is built only as input
+here.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
 A Course in Computational Algebraic Number Theory, 2.2): each row is scaled
 to integers by the lcm of its denominators, and every elimination step
 divides exactly by the previous pivot.  `rref` returns integer rows with
-rows == d * RREF for one common integer d, the last pivot, so rank, solve,
-nullspace and invert build a Fraction only for an entry they return.
+rows == d * RREF for one common integer d > 0, the last pivot up to sign,
+so rank, solve, nullspace and invert build a Fraction only for an entry
+they return, and _solve and _nullspace (used by field_core on integer
+rows) build none.
 Everything is deterministic (no pivot heuristics beyond first-nonzero), so
 downstream callers get reproducible kernels and solutions.
 """
@@ -34,8 +37,8 @@ def rref(matrix):
     """Fraction-free reduced row echelon form.
 
     Returns (rows, pivot_columns, d): integer rows with rows == d * RREF of
-    the matrix, where d is the common value of every pivot entry (1 when
-    there is no pivot).
+    the matrix, where d > 0 is the common value of every pivot entry (1
+    when there is no pivot).
     """
     rows = []
     for row in matrix:
@@ -74,6 +77,8 @@ def rref(matrix):
         r += 1
         if r == nrows:
             break
+    if prev < 0:
+        return [[-a for a in row] for row in rows], pivots, -prev
     return rows, pivots, prev
 
 
@@ -83,8 +88,14 @@ def rank(matrix):
 
 def nullspace(matrix):
     """Basis of the right kernel, one vector per free column, in column order."""
+    vectors, d = _nullspace(matrix)
+    return [[_fraction(v, d) for v in vec] for vec in vectors]
+
+
+def _nullspace(matrix):
+    """nullspace as (vectors, d): integer vectors over one common d > 0."""
     if not matrix:
-        return []
+        return [], 1
     ncols = len(matrix[0])
     rows, pivots, d = rref(matrix)
     pivot_set = set(pivots)
@@ -92,25 +103,31 @@ def nullspace(matrix):
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
+        v = [0] * ncols
+        v[free] = d
         for r, c in enumerate(pivots):
-            v[c] = _fraction(-rows[r][free], d)
+            v[c] = -rows[r][free]
         basis.append(v)
-    return basis
+    return basis, d
 
 
 def solve(matrix, rhs):
     """One solution of matrix @ x = rhs, or None if inconsistent."""
+    sol = _solve(matrix, rhs)
+    return None if sol is None else [_fraction(v, sol[1]) for v in sol[0]]
+
+
+def _solve(matrix, rhs):
+    """solve as (nums, d): the solution is nums / d with d > 0; or None."""
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     rows, pivots, d = rref(aug)
     ncols = len(matrix[0])
     if ncols in pivots:
         return None
-    x = [ZERO] * ncols
+    x = [0] * ncols
     for r, c in enumerate(pivots):
-        x[c] = _fraction(rows[r][ncols], d)
-    return x
+        x[c] = rows[r][ncols]
+    return x, d
 
 
 def invert(matrix):

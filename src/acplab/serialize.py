@@ -55,13 +55,16 @@ _SCALAR = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 _MAX_DIGITS = 4300     # CPython's default limit for int <-> str conversion
 
 
-def _parse_scalar(s) -> Fraction:
-    """A "p" or "p/q" literal (or a JSON integer); anything else, including
-    exponents, decimals and parts over _MAX_DIGITS digits, is a FormatError."""
+def _parse_scalar(s):
+    """A "p" or "p/q" literal (or a JSON integer) as an int or a Fraction;
+    anything else, including exponents, decimals and parts over _MAX_DIGITS
+    digits, is a FormatError."""
     text = str(s)
     match = _SCALAR.fullmatch(text)
     if match is None or any(len(part) > _MAX_DIGITS for part in match.groups() if part):
         raise FormatError(f"bad scalar literal {s!r}")
+    if match.group(2) is None:
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:

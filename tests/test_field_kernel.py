@@ -11,9 +11,11 @@ the same way against dense Fraction matrix products written here.
 import gc
 import json
 import pathlib
+import random
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,29 @@ def test_equal_values_are_equal_across_construction_routes(name, data):
     for a, b in routes:
         assert a == b and hash(a) == hash(b) and a.coords == b.coords
     assert (x + p.one() == x) is False
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_results_are_in_normal_form(name, data):
+    """nums / den with den > 0 and gcd(den, *nums) == 1, so zero is 0/1."""
+    p = PRESENTATIONS[name]
+    xc = data.draw(coords(p.dim).filter(any), label="x")
+    yc = data.draw(coords(p.dim), label="y")
+    r = data.draw(scalars(nonzero=True), label="r")
+    x, y = p.element(xc), p.element(yc)
+    m = p.unit_exponent(0)
+    results = [x, y, x + y, x - y, y - y, -x, x * r, x * 0, r * x, x / r, x + r, x - r,
+               x * y, y / x, x ** -2, p.inv(x), p.zero(), p.one(), p.scalar(r),
+               p.basis_element(0), p.random_element(random.Random(1)),
+               p.apply_automorphism(m, x), p.hilbert90_solve(m, p.apply_automorphism(m, x) / x),
+               *p.fixed_subspace(m)]
+    for z in results:
+        assert type(z.nums) is tuple and all(type(v) is int for v in z.nums)
+        assert type(z.den) is int and z.den > 0
+        assert gcd(z.den, *z.nums) == 1
+    assert (y - y).nums == (0,) * p.dim and (y - y).den == 1
 
 
 def ref_apply(mat, v):
