@@ -57,8 +57,13 @@ def _load_algebra(ref: str):
 
 def _load_composite(ref: str, base):
     if ref in fixtures.BUILTIN_COMPOSITES:
-        return fixtures.BUILTIN_COMPOSITES[ref]()
-    return serialize.composite_from_doc(serialize.load_document(ref), base=base)
+        comp = fixtures.BUILTIN_COMPOSITES[ref]()
+        if comp.base is base:
+            return comp
+        doc = serialize.composite_to_doc(comp)      # rebound to a file-loaded base
+    else:
+        doc = serialize.load_document(ref)
+    return serialize.composite_from_doc(doc, base=base)
 
 
 def _load_witness(ref: str, algebra):

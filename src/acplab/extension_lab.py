@@ -20,7 +20,7 @@ and deliberately not implemented; reports end at the powered data and say so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .crossed_product import (CocycleData, CrossedProductAlgebra,
@@ -30,8 +30,8 @@ from .errors import (InternalInconsistencyError, MixedContextError,
                      PresentationError, WitnessError)
 from .field_core import (FieldElement, GaloisExtensionPresentation, _apply_columns,
                          _columns, _compose, _dense_matrix, _identity, _image,
-                         _is_multiplicative, _make, _rational, common_prime,
-                         require_automorphisms, validate_field_data)
+                         _integer_rows, _is_multiplicative, _make, _rational,
+                         common_prime, require_automorphisms, validate_field_data)
 from .reporting import Report
 
 
@@ -81,11 +81,10 @@ def validate_composite(base, ext_field, composite, embed, rel_gal,
     if len(embed) != big or any(len(row) != n for row in embed):
         report.require("embedding shape", False, f"need {big} x {n}")
         return report
-    emb = [[_rational(x) for x in row] for row in embed]
-    emb_map = _columns(emb)
+    emb_map = _columns([[_rational(x) for x in row] for row in embed])
     report.require("embedding preserves the unit",
                    _image(emb_map, base.one(), composite) == composite.one())
-    report.require("embedding injective", linalg.rank(emb) == n)
+    report.require("embedding injective", linalg.rank(_integer_rows(emb_map, big)) == n)
     report.require("embedding is a ring homomorphism",
                    _is_multiplicative(base, composite, emb_map))
     report.require("embedding commutes with the group action", all(
@@ -140,10 +139,14 @@ def embed_element(comp: CompositeExtension, x: FieldElement) -> FieldElement:
 def restrict_element(comp: CompositeExtension, y: FieldElement) -> FieldElement:
     if y.field is not comp.composite:
         raise MixedContextError("element is not over the composite")
-    sol = linalg.solve(comp.embed, list(y.coords))
+    # (columns / den) x = nums / y.den exactly when columns (y.den x) = den * nums
+    den = comp.embed_columns[1]
+    sol = linalg.solve(_integer_rows(comp.embed_columns, comp.composite.dim),
+                       [den * v for v in y.nums])
     if sol is None:
         raise ValueError("element lies outside the embedded subfield")
-    return comp.base.element(sol)
+    nums, d = sol
+    return _make(comp.base, nums, d * y.den)
 
 
 def _module_data(comp: CompositeExtension):
@@ -166,12 +169,18 @@ def _module_data(comp: CompositeExtension):
             span_rows.append(list((img * cand).nums))
     if len(vs) != t:
         raise InternalInconsistencyError("failed to build a module basis")
-    # column (b*n + a) holds embed(e_a) * v_b
-    cols = [(images[a] * vs[b]).coords for b in range(t) for a in range(n)]
-    inverse = linalg.invert([list(row) for row in zip(*cols)])
+    # column (b*n + a) holds embed(e_a) * v_b, times the lcm den of the
+    # denominators; the inverse is then den * rows / d, stored canonically
+    prods = [images[a] * vs[b] for b in range(t) for a in range(n)]
+    den = lcm(*[p.den for p in prods])
+    inverse = linalg.invert([[p.nums[i] * (den // p.den) for p in prods] for i in range(big)])
     if inverse is None:
         raise InternalInconsistencyError("module coordinate matrix is singular")
-    comp._module = (tuple(vs), _columns(inverse))
+    rows, d = inverse
+    g = gcd(d, den * gcd(*[v for row in rows for v in row]))
+    columns = tuple(tuple((k, den * v // g) for k, v in enumerate(col) if v)
+                    for col in zip(*rows))
+    comp._module = (tuple(vs), (columns, d // g))
     return comp._module
 
 

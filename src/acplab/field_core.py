@@ -339,7 +339,7 @@ class GaloisExtensionPresentation:
         rows, den = self.multiplication_matrix(x)
         unit, uden = self._unit
         # (rows / den) y = unit / uden exactly when rows (uden * y) = den * unit
-        sol = linalg._solve(rows, [den * u for u in unit])
+        sol = linalg.solve(rows, [den * u for u in unit])
         if sol is None:
             raise PresentationError(
                 f"multiplication by {x} is singular: presentation is not a field")
@@ -467,7 +467,7 @@ class GaloisExtensionPresentation:
             for i, row in enumerate(block):
                 row[i] -= s[1]
             rows += block
-        vectors, den = linalg._nullspace(rows or [[0] * self.dim])
+        vectors, den = linalg.nullspace(rows or [[0] * self.dim])
         return [_make(self, v, den) for v in vectors]
 
     def hilbert90_solve(self, m, c: FieldElement):
@@ -488,7 +488,7 @@ class GaloisExtensionPresentation:
         # (s - mc / cden) scaled by the two denominators
         delta = [[cden * a - s[1] * b for a, b in zip(srow, mrow)]
                  for srow, mrow in zip(_integer_rows(s, self.dim), mc)]
-        kernel, den = linalg._nullspace(delta)
+        kernel, den = linalg.nullspace(delta)
         if not kernel:
             return None
         x = _make(self, kernel[0], den)

@@ -1,50 +1,30 @@
-"""Exact elimination over rationals: RREF, rank, solve, nullspace, inverse.
+"""Exact elimination over the rationals: RREF, rank, solve, nullspace, inverse.
 
-Matrices are lists of lists of int or Fraction; vectors are lists of
-Fraction, or integer numerators over one positive denominator.  This
-module only eliminates: linear maps are applied and composed as sparse
-integer columns in field_core, and a dense matrix is built only as input
-here.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968; Cohen,
-A Course in Computational Algebraic Number Theory, 2.2): each row is scaled
-to integers by the lcm of its denominators, and every elimination step
-divides exactly by the previous pivot.  `rref` returns integer rows with
-rows == d * RREF for one common integer d > 0, the last pivot up to sign,
-so rank, solve, nullspace and invert build a Fraction only for an entry
-they return, and _solve and _nullspace (used by field_core on integer
-rows) build none.
+Matrices are lists of integer rows, and results are integer numerators over
+one positive denominator d; a caller with rational data scales it to
+integers first.  Elimination is fraction-free Gauss-Jordan (Bareiss 1968;
+Cohen, A Course in Computational Algebraic Number Theory, 2.2): every step
+divides exactly by the previous pivot, and `rref` returns integer rows with
+rows == d * RREF for one common d > 0, the last pivot up to sign.
 Everything is deterministic (no pivot heuristics beyond first-nonzero), so
 downstream callers get reproducible kernels and solutions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def _fraction(num, den):
-    return Fraction(num, den) if num else ZERO
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def rref(matrix):
-    """Fraction-free reduced row echelon form.
+    """Fraction-free reduced row echelon form of an integer matrix.
 
     Returns (rows, pivot_columns, d): integer rows with rows == d * RREF of
     the matrix, where d > 0 is the common value of every pivot entry (1
     when there is no pivot).
     """
-    rows = []
-    for row in matrix:
-        # unpack a list, not a generator (see field_core._scale)
-        den = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = [list(row) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -87,13 +67,8 @@ def rank(matrix):
 
 
 def nullspace(matrix):
-    """Basis of the right kernel, one vector per free column, in column order."""
-    vectors, d = _nullspace(matrix)
-    return [[_fraction(v, d) for v in vec] for vec in vectors]
-
-
-def _nullspace(matrix):
-    """nullspace as (vectors, d): integer vectors over one common d > 0."""
+    """Basis of the right kernel, one vector per free column, in column
+    order, as (vectors, d): the basis vectors are vectors[i] / d, d > 0."""
     if not matrix:
         return [], 1
     ncols = len(matrix[0])
@@ -112,13 +87,8 @@ def _nullspace(matrix):
 
 
 def solve(matrix, rhs):
-    """One solution of matrix @ x = rhs, or None if inconsistent."""
-    sol = _solve(matrix, rhs)
-    return None if sol is None else [_fraction(v, sol[1]) for v in sol[0]]
-
-
-def _solve(matrix, rhs):
-    """solve as (nums, d): the solution is nums / d with d > 0; or None."""
+    """One solution of matrix @ x = rhs as (nums, d): x = nums / d with
+    d > 0; or None if the system is inconsistent."""
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     rows, pivots, d = rref(aug)
     ncols = len(matrix[0])
@@ -131,10 +101,11 @@ def _solve(matrix, rhs):
 
 
 def invert(matrix):
-    """Matrix inverse, or None if singular."""
+    """The inverse as (rows, d): the inverse is rows / d with d > 0; or
+    None if the matrix is singular."""
     n = len(matrix)
     aug = [list(matrix[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     rows, pivots, d = rref(aug)
     if pivots != list(range(n)):
         return None
-    return [[_fraction(x, d) for x in row[n:]] for row in rows[:n]]
+    return [row[n:] for row in rows[:n]], d

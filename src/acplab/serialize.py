@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 
 from .crossed_product import CocycleData, CrossedProductAlgebra, StrongDegeneracyWitness
-from .errors import FormatError
+from .errors import FormatError, PresentationError
 from .extension_lab import CompositeExtension, build_tensor_extension
 from .field_core import GaloisExtensionPresentation
 
@@ -73,6 +73,13 @@ def _parse_scalar(s):
 
 def _coords(vec):
     return [_scalar(x) for x in vec]
+
+
+def _element(ext, vec):
+    """The element of ext with the coordinate literals vec, of length ext.dim."""
+    if len(vec) != ext.dim:
+        raise FormatError(f"expected {ext.dim} coordinates, got {len(vec)}")
+    return ext.element([_parse_scalar(x) for x in vec])
 
 
 def _matrix(mat):
@@ -116,10 +123,15 @@ def presentation_from_doc(doc: dict) -> GaloisExtensionPresentation:
         raise FormatError(f"malformed presentation document: {exc}") from exc
 
 
-def _same_presentation(p: GaloisExtensionPresentation, doc: dict) -> bool:
-    mine = presentation_to_doc(p)
-    return all(mine[k] == doc.get(k)
-               for k in ("orders", "unit", "structure_constants", "sigma"))
+def _same_presentation(p: GaloisExtensionPresentation, doc) -> bool:
+    """True when doc parses to p's orders, unit, table and generators, which
+    are canonical integers, so any literals for the same values compare equal."""
+    try:
+        q = presentation_from_doc(doc)
+    except (FormatError, PresentationError):
+        return False
+    return (q.orders == p.orders and q._unit == p._unit and q._table_den == p._table_den
+            and q._table == p._table and q._generators == p._generators)
 
 
 # ---------------------------------------------------------------------- #
@@ -146,10 +158,8 @@ def cocycle_data_from_doc(doc: dict, ext=None):
             ext = presentation_from_doc(doc["extension"])
         elif not _same_presentation(ext, doc["extension"]):
             raise FormatError("document extension differs from the provided one")
-        twists = tuple(tuple(ext.element([_parse_scalar(x) for x in vec])
-                             for vec in row) for row in doc["twists"])
-        powers = tuple(ext.element([_parse_scalar(x) for x in vec])
-                       for vec in doc["powers"])
+        twists = tuple(tuple(_element(ext, vec) for vec in row) for row in doc["twists"])
+        powers = tuple(_element(ext, vec) for vec in doc["powers"])
     except (KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"malformed algebra document: {exc}") from exc
     r = ext.rank
@@ -188,11 +198,13 @@ def witness_from_doc(doc: dict, algebra: CrossedProductAlgebra | None = None):
                 algebra.ext, doc["algebra"]["extension"]):
             raise FormatError("witness was recorded over a different extension")
         ext = alg.ext
+        exponent = doc["exponent"]
+        if len(exponent) != ext.rank or not all(type(m) is int for m in exponent):
+            raise FormatError(f"exponent must be {ext.rank} integers, got {exponent!r}")
         w = StrongDegeneracyWitness(
-            tuple(doc["exponent"]),
-            ext.element([_parse_scalar(x) for x in doc["coeff"]]),
-            tuple(ext.element([_parse_scalar(x) for x in vec])
-                  for vec in doc["solutions"]),
+            tuple(exponent),
+            _element(ext, doc["coeff"]),
+            tuple(_element(ext, vec) for vec in doc["solutions"]),
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"malformed witness document: {exc}") from exc
@@ -246,8 +258,7 @@ def elements_to_doc(elements) -> dict:
 def elements_from_doc(doc: dict, ext) -> list:
     _expect(doc, ELEMENTS_SCHEMA)
     try:
-        return [ext.element([_parse_scalar(x) for x in vec])
-                for vec in doc["elements"]]
+        return [_element(ext, vec) for vec in doc["elements"]]
     except (KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"malformed element list: {exc}") from exc
 

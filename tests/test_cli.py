@@ -51,8 +51,9 @@ def test_validate_missing_file(capsys):
     (("extension", "unit"), ["0"] * 4, cli.EXIT_MATH_FAIL),
     (("twists", 0, 1, 0), "1e100000", cli.EXIT_IO),
     (("twists", 0, 1, 0), "1e1000000", cli.EXIT_IO),
+    (("powers", 0), ["1", "0"], cli.EXIT_IO),
 ], ids=["inversion-rule", "string-order", "float-order", "one-row-twists",
-        "zero-unit", "exponent-literal", "huge-exponent-literal"])
+        "zero-unit", "exponent-literal", "huge-exponent-literal", "short-powers-vector"])
 def test_validate_perturbed_fixture(tmp_path, capsys, keys, value, expected):
     doc = serialize.load_document(FIXTURE_DIR / "instance-b.json")
     target = doc
@@ -216,6 +217,71 @@ def test_descend_with_witness_file(capsys):
          "--witness", str(FIXTURE_DIR / "instance-b-witness.json"),
          "--exponent", "2"], capsys)
     assert code == 0
+
+
+def test_descend_builtin_and_file_inputs_agree(capsys):
+    """A builtin composite binds to a file-loaded fixture as a file does."""
+    reports = []
+    for fixture in ("instance-b", str(FIXTURE_DIR / "instance-b-witness.json")):
+        for composite in ("b-cuberoot2", str(FIXTURE_DIR / "composite-b-cuberoot2.json")):
+            code, out, _ = run(["descend", "--fixture", fixture, "--composite", composite,
+                                "--exponent", "2", "--format", "report"], capsys)
+            assert code == 0, (fixture, composite)
+            reports.append(json.loads(out)["reports"])
+    assert all(r == reports[0] for r in reports)
+
+
+def _edited(tmp_path, source, keys, value):
+    """The document source (a fixture name, or an empty element list for
+    None) with the entry at keys replaced by value, saved; returns its path."""
+    doc = (serialize.elements_to_doc([]) if source is None
+           else serialize.load_document(FIXTURE_DIR / source))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "edited.json"
+    serialize.save(path, doc)
+    return str(path)
+
+
+GRADED_WITNESS = ["graded", "--fixture", "instance-b", "--witness"]
+
+
+@pytest.mark.parametrize("argv, source, keys, value", [
+    (["analyze", "--fixture", "instance-b", "--candidates"], None, ("elements",), [["1", "0"]]),
+    (GRADED_WITNESS, "instance-b-witness.json", ("coeff",), ["0", "1"]),
+    (GRADED_WITNESS, "instance-b-witness.json", ("exponent",), [1]),
+    (GRADED_WITNESS, "instance-b-witness.json", ("exponent",), ["a", 1]),
+], ids=["short-candidate", "short-coeff", "short-exponent", "string-exponent"])
+def test_malformed_vectors_and_exponents_are_input_errors(tmp_path, capsys, argv, source,
+                                                          keys, value):
+    code, _out, err = run(argv + [_edited(tmp_path, source, keys, value)], capsys)
+    assert code == cli.EXIT_IO
+    assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("unit", [[1, 0, 0, 0], ["2/2", "0", "0", "0"]],
+                         ids=["json-integers", "unreduced"])
+@pytest.mark.parametrize("command", [
+    GRADED_WITNESS,
+    ["descend", "--fixture", "instance-b", "--composite", "b-cuberoot2", "--exponent", "2",
+     "--witness"]], ids=["graded", "descend"])
+def test_witness_extension_is_compared_by_value(tmp_path, capsys, command, unit):
+    path = _edited(tmp_path, "instance-b-witness.json", ("algebra", "extension", "unit"), unit)
+    code, _out, err = run(command + [path], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("source, unit", [
+    ("instance-b3-witness.json", None), ("instance-b-witness.json", ["x", "0", "0", "0"])],
+    ids=["other-extension", "unparseable-extension"])
+def test_witness_over_another_extension_is_an_input_error(tmp_path, capsys, source, unit):
+    path = (str(FIXTURE_DIR / source) if unit is None
+            else _edited(tmp_path, source, ("algebra", "extension", "unit"), unit))
+    code, _out, err = run(GRADED_WITNESS + [path], capsys)
+    assert code == cli.EXIT_IO
+    assert err.splitlines() == ["input error: witness was recorded over a different extension"]
 
 
 def test_report_format_is_json_and_deterministic(capsys):

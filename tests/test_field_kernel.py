@@ -20,8 +20,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acplab import cli, fixtures, linalg, serialize
 from acplab import extension_lab as xl
-from acplab import fixtures, serialize
 from acplab.crossed_product import validate_relations
 from acplab.extension_lab import validate_composite
 from acplab.field_core import GaloisExtensionPresentation, validate_galois_data
@@ -324,7 +324,32 @@ def _rebased_cubic7():
     return _composite_reference(comp, embed, tau)
 
 
-COMPOSITES = {"b3-sqrt5": _b3_sqrt5, "instance-b-rebased-cubic7": _rebased_cubic7}
+@lru_cache(maxsize=None)
+def _rescaled_cubic7():
+    """The rebased cubic composite on the composite basis f_j = scale[j] * e_j,
+    so that the embedding has non-integral entries too."""
+    comp, embed, powers = _rebased_cubic7()
+    big = comp.composite
+    n = big.dim
+    scale = [Fraction(2 + j % 4, 1 + j % 3) for j in range(n)]
+
+    def on_f(mat):      # the same linear map, on the f basis
+        return [[mat[k][j] * scale[j] / scale[k] for j in range(n)] for k in range(n)]
+
+    sc = [[[c * scale[i] * scale[j] / scale[k]
+            for k, c in enumerate(big.structure_constants[i][j])] for j in range(n)]
+          for i in range(n)]
+    unit = [c / scale[k] for k, c in enumerate(big.unit_coords)]
+    composite = GaloisExtensionPresentation(big.orders, big.basis_labels, sc, unit,
+                                            [on_f(s) for s in big.sigma], name="rescaled")
+    embed = [[x / scale[k] for x in row] for k, row in enumerate(embed)]
+    tau = on_f(powers[0])
+    rescaled = xl.build_tensor_extension(comp.base, comp.ext_field, composite, embed, [tau])
+    return _composite_reference(rescaled, embed, tau)
+
+
+COMPOSITES = {"b3-sqrt5": _b3_sqrt5, "instance-b-rebased-cubic7": _rebased_cubic7,
+              "instance-b-rebased-cubic7-rescaled": _rescaled_cubic7}
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSITES))
@@ -346,6 +371,44 @@ def test_composite_maps_match_fraction_reference(name, data):
     y = big.element(yc)
     assert xl.orbit_product(comp, y) == expected
     assert xl.embed_element(comp, xl.relative_norm(comp, y)) == expected
+
+
+@pytest.mark.parametrize("name", ["instance-b-rebased-cubic7",
+                                  "instance-b-rebased-cubic7-rescaled"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_restrict_inverts_embed_on_non_integral_composites(name, data):
+    comp = COMPOSITES[name]()[0]
+    x = comp.base.element(data.draw(coords(comp.base.dim), label="x"))
+    up = xl.embed_element(comp, x)
+    assert xl.restrict_element(comp, up) == x
+    with pytest.raises(ValueError):
+        xl.restrict_element(comp, up + comp.composite.basis_element(1))
+
+
+def test_elimination_sees_only_integer_rows(monkeypatch, capsys):
+    """Every matrix that reaches linalg.rref holds ints only: in acplab demo,
+    and in building, restricting to and norming down from a composite whose
+    presentation and embedding are non-integral."""
+    rref = linalg.rref
+
+    def integer_rref(matrix):
+        assert all(type(x) is int for row in matrix for x in row)
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", integer_rref)
+    assert cli.main(["demo"]) == cli.EXIT_PASS
+    capsys.readouterr()
+    comp, _embed, powers = _rescaled_cubic7.__wrapped__()     # a fresh, uncached build
+    k, big = comp.base, comp.composite
+    assert comp.embed_columns[1] > 1
+    y = big.element([Fraction(j - 5, j + 1) for j in range(big.dim)])
+    expected = big.one()
+    for mat in powers:
+        expected = expected * big.element(ref_apply(mat, y.coords))
+    assert xl.embed_element(comp, xl.relative_norm(comp, y)) == expected
+    x = k.element([Fraction(1, 3), 0, Fraction(-5, 2), 7])
+    assert xl.restrict_element(comp, xl.embed_element(comp, x)) == x
 
 
 def _parse_validate_and_compute():
