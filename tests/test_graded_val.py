@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from acplab import crossed_product as cp
 from acplab import fixtures
 from acplab import graded_val as gv
+from acplab import twisted_poly as tp
+from acplab.field_core import GaloisExtensionPresentation
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,42 @@ def test_value_additive_under_products(b_graded, b3_graded, rng):
             right = tuple(a + b for a, b in zip(
                 g.value_of(h1).fractions(), g.value_of(h2).fractions()))
             assert left == right
+
+
+def test_graded_products_match_the_generic_model(b_graded, b3_graded, rng):
+    """g(z^m)*g(x^w) is the monomial z^m*X^w of the generic model, so a
+    graded product is the single term of the generic product."""
+    for g in (b_graded, b3_graded):
+        generic = tp.GenericCrossedProduct(g.algebra)
+        exps = g.ext.exponents()
+        for _ in range(20):
+            parts = [(g.ext.random_element(rng), exps[rng.randrange(len(exps))],
+                      tuple(rng.choice((-2, -1, 1, 2)) for _ in range(g.ext.rank)))
+                     for _ in range(2)]
+            h1, h2 = (g.homog(c, m, w) for c, m, w in parts)
+            x1, x2 = (generic.monomial(c, m, w) for c, m, w in parts)
+            prod = g.mul(h1, h2)
+            ((m, w), c), = (x1 * x2).terms()
+            assert (prod.coeff, prod.exponent, prod.central) == (c, m, w)
+
+
+def test_zero_homogeneous_product_is_an_error():
+    """Over K = Q[y]/(y^2 - 1), not a field, (1 + y)(1 - y) = 0: the
+    product of two homogeneous elements can vanish, and zero is not
+    homogeneous."""
+    split = fixtures.SimpleExtension("y", 2, (Fraction(1), Fraction(0)))
+    pres = split.presentation(name="split")
+    sigma = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]]
+    k = GaloisExtensionPresentation(
+        (2,), pres.basis_labels, pres.structure_constants, pres.unit_coords,
+        sigma, name="split")
+    graded = gv.GradedCrossedProduct(
+        cp.CrossedProductAlgebra(k, fixtures.trivial_cocycle(k)))
+    y = k.basis_element(1)
+    with pytest.raises(ValueError):
+        graded.mul(graded.homog(k.one() + y), graded.homog(k.one() - y))
+    with pytest.raises(ValueError):
+        graded.homog(k.zero())
 
 
 def test_residue_action_map(b_graded):
