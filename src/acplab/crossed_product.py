@@ -13,9 +13,10 @@ z^g z^h = c(g, h) z^(g+h) is materialized once at construction and drives
 all products; the 2-cocycle identity for the derived table is a checkable
 report, not an assumption.
 
-Elements of the algebra, of the twisted polynomial rings and of the generic
-model are all MonomialCombinations, multiplied by one rule in
-combination_product; each context supplies only its monomial key hooks.
+Elements of the algebra, of the twisted polynomial rings, of the generic
+model and of its graded skeleton are all MonomialCombinations, multiplied by
+one rule in combination_product; each context supplies only its monomial key
+hooks.
 
 Degeneracy and strong degeneracy witnesses follow the glossary: a strong
 witness is (m, l, x_1..x_r) with s^m of prime order and
@@ -48,9 +49,6 @@ class CocycleData:
     @property
     def rank(self):
         return len(self.powers)
-
-    def entry(self, i, j):
-        return self.twists[i][j]
 
 
 def power_cocycle(data: CocycleData, t: int) -> CocycleData:
@@ -263,7 +261,8 @@ class MonomialCombination:
 
     The key type is the context's: a canonical group exponent in the
     crossed product, a natural exponent vector in a twisted polynomial ring,
-    a (group exponent, central Laurent vector) pair in the generic model.
+    a (group exponent, central Laurent vector) pair in the generic model
+    and its graded skeleton.
     """
 
     __slots__ = ("context", "coeffs")
@@ -309,12 +308,13 @@ class MonomialCombination:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out[k] + c if k in out else c
-        return MonomialCombination(self.context, out)
+        return self.context.element_type(self.context, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MonomialCombination(self.context, {k: -c for k, c in self.coeffs.items()})
+        return self.context.element_type(
+            self.context, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -378,7 +378,7 @@ def combination_product(ctx, x, y) -> MonomialCombination:
             scalar, key = ctx.combine(g, h)
             term = c * ext.apply_automorphism(a, d) * scalar
             out[key] = out[key] + term if key in out else term
-    return MonomialCombination(ctx, out)
+    return ctx.element_type(ctx, out)
 
 
 class MonomialContext:
@@ -388,8 +388,12 @@ class MonomialContext:
     each context class, so that profiles name each context's products) and
     the key hooks canonical_key(key), combine(g, h) and label(key).  lift(m)
     (the key of z^m) and acting(key) (the group exponent that moves a
-    coefficient past the monomial) default to the exponent itself.
+    coefficient past the monomial) default to the exponent itself.  Every
+    element the kernel builds in a context is an `element_type`, which a
+    context may narrow to a MonomialCombination subclass.
     """
+
+    element_type = MonomialCombination
 
     def lift(self, m):
         return tuple(m)
@@ -402,24 +406,30 @@ class MonomialContext:
         for k, c in coeffs.items():
             k = self.canonical_key(k)
             fixed[k] = fixed[k] + c if k in fixed else c
-        return MonomialCombination(self, fixed)
+        return self.element_type(self, fixed)
 
     def monomial(self, coeff, *key) -> MonomialCombination:
         """coeff times one monomial, its key given whole or as its parts."""
         key = self.canonical_key(key[0] if len(key) == 1 else key)
-        return MonomialCombination(self, {key: coeff})
+        return self.element_type(self, {key: coeff})
 
     def scalar_element(self, c: FieldElement) -> MonomialCombination:
-        return MonomialCombination(self, {self.lift(self.ext.identity_exponent()): c})
+        return self.element_type(self, {self.lift(self.ext.identity_exponent()): c})
 
     def gen(self, i) -> MonomialCombination:
-        return MonomialCombination(self, {self.lift(self.ext.unit_exponent(i)): self.ext.one()})
+        return self.element_type(self, {self.lift(self.ext.unit_exponent(i)): self.ext.one()})
 
     def one(self) -> MonomialCombination:
         return self.scalar_element(self.ext.one())
 
     def zero(self) -> MonomialCombination:
-        return MonomialCombination(self, {})
+        return self.element_type(self, {})
+
+    def commutes_with_generators(self, x: MonomialCombination) -> bool:
+        """Does x commute with every K-basis element and every z_i?"""
+        gens = ([self.scalar_element(b) for b in self.ext.basis()]
+                + [self.gen(i) for i in range(self.ext.rank)])
+        return all(self.mul(x, s) == self.mul(s, x) for s in gens)
 
 
 # ---------------------------------------------------------------------- #
@@ -472,7 +482,7 @@ class CrossedProductAlgebra(MonomialContext):
                 out[m] = out[m] + c
             else:
                 out[m] = c
-        return MonomialCombination(self, out)
+        return self.element_type(self, out)
 
     # -------------------------------------------------------------- #
     # products
@@ -481,10 +491,9 @@ class CrossedProductAlgebra(MonomialContext):
         return self.table[(self.ext.exp_canon(g), self.ext.exp_canon(h))]
 
     def monomial_product(self, g, h):
-        """(coeff, exponent, carries) with z^g z^h = coeff * z^exp, where
-        carries counts the generator-order wraps (used by the graded layer)."""
-        g = self.ext.exp_canon(g)
-        h = self.ext.exp_canon(h)
+        """(coeff, exponent, carries) with z^g z^h = coeff * z^exp for
+        canonical exponents g and h, where carries counts the generator-order
+        wraps (the central X-exponents of the generic model)."""
         return self.table[(g, h)], self.ext.exp_add(g, h), self._carries[(g, h)]
 
     def commutator(self, m, n) -> FieldElement:
@@ -493,15 +502,7 @@ class CrossedProductAlgebra(MonomialContext):
 
     def is_central(self, x: MonomialCombination) -> bool:
         """Commutation against the finite generating set: K-basis and z_i."""
-        for b in self.ext.basis():
-            s = self.scalar_element(b)
-            if self.mul(x, s) != self.mul(s, x):
-                return False
-        for i in range(self.ext.rank):
-            z = self.gen(i)
-            if self.mul(x, z) != self.mul(z, x):
-                return False
-        return True
+        return self.commutes_with_generators(x)
 
     # -------------------------------------------------------------- #
     # derived-table audits

@@ -4,8 +4,11 @@ The power-series model is handled through its graded skeleton only: every
 homogeneous element is a monomial coeff * g(z^m) * g(x^w) with m a
 canonical group exponent and w an integer Laurent vector, and its value is
 the vector w + sum_i (m_i / n_i) e_i in the lattice spanned by 1/n_i.
-Full power series are never materialized; each criterion of the valued
-theory is exact on this skeleton.
+g(z^m) * g(x^w) is the monomial z^m * X^w of the generic model, so the
+skeleton is that model's monomial context with its own spelling, and a
+homogeneous element is a one-term combination multiplied by the shared
+kernel.  Full power series are never materialized; each criterion of the
+valued theory is exact on this skeleton.
 
 theta sends a value class modulo the base lattice to the group exponent of
 its fractional part; it is checked to be an isomorphism rather than
@@ -20,6 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import crossed_product as cp
+from . import twisted_poly as tp
 from .errors import InternalInconsistencyError, MixedContextError
 from .field_core import FieldElement
 from .reporting import Report
@@ -71,48 +75,31 @@ class ValueVector:
         return "(" + ", ".join(str(x) for x in self.fractions()) + ")"
 
 
-class HomogeneousElement:
-    """A nonzero monomial coeff * g(z^m) * g(x^w) of the graded skeleton."""
+class HomogeneousElement(cp.MonomialCombination):
+    """A nonzero monomial coeff * g(z^m) * g(x^w) of the graded skeleton:
+    a one-term combination keyed by (m, w)."""
 
-    __slots__ = ("context", "coeff", "exponent", "central")
+    __slots__ = ()
 
-    def __init__(self, context, coeff: FieldElement, exponent, central):
-        if coeff.is_zero():
-            raise ValueError("homogeneous elements are nonzero")
-        self.context = context
-        self.coeff = coeff
-        self.exponent = context.ext.exp_canon(exponent)
-        self.central = tuple(int(x) for x in central)
+    def __init__(self, context, coeffs):
+        super().__init__(context, coeffs)
+        if len(self.coeffs) != 1:
+            raise ValueError("homogeneous elements are nonzero monomials")
 
-    def __mul__(self, other):
-        if not isinstance(other, HomogeneousElement):
-            return NotImplemented
-        return self.context.mul(self, other)
+    @property
+    def coeff(self) -> FieldElement:
+        (c,) = self.coeffs.values()
+        return c
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return self.context.power(self, k)
+    @property
+    def exponent(self):
+        ((m, _w),) = self.coeffs
+        return m
 
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousElement):
-            return NotImplemented
-        return (self.context is other.context and self.coeff == other.coeff
-                and self.exponent == other.exponent and self.central == other.central)
-
-    def __hash__(self):
-        return hash((self.coeff, self.exponent, self.central))
-
-    def __str__(self):
-        mono = cp.monomial_label("z", self.exponent)
-        cent = cp.monomial_label("x", self.central)
-        cs = str(self.coeff)
-        if " " in cs:
-            cs = f"({cs})"
-        return "*".join(x for x in (cs, f"g({mono})" if mono else "",
-                                    f"g({cent})" if cent else "") if x) or cs
-
-    __repr__ = __str__
+    @property
+    def central(self):
+        ((_m, w),) = self.coeffs
+        return w
 
 
 @dataclass
@@ -170,13 +157,19 @@ class AbsenceAudit:
     message: str
 
 
-class GradedCrossedProduct:
+class GradedCrossedProduct(tp.GenericCrossedProduct):
     """Graded skeleton of the power-series generic crossed product over a
-    validated crossed-product algebra."""
+    validated crossed-product algebra: the generic model's monomials,
+    spelled g(z^m)*g(x^w).  Centrality here is tested by commutation
+    (qpower_central_check), not by the generic model's structural
+    is_central; the two agree only on validated presentations."""
 
-    def __init__(self, algebra: cp.CrossedProductAlgebra):
-        self.algebra = algebra
-        self.ext = algebra.ext
+    element_type = HomogeneousElement
+    mul = cp.combination_product
+
+    def label(self, key):
+        return "*".join(f"g({x})" for x in (cp.monomial_label("z", key[0]),
+                                            cp.monomial_label("x", key[1])) if x)
 
     # ------------------------------------------------------------- #
     # elements
@@ -184,18 +177,12 @@ class GradedCrossedProduct:
     def homog(self, coeff, exponent=None, central=None) -> HomogeneousElement:
         if coeff.field is not self.ext:
             raise MixedContextError("coefficient is not over this extension")
-        r = self.ext.rank
-        if exponent is None:
-            exponent = (0,) * r
-        if central is None:
-            central = (0,) * r
-        return HomogeneousElement(self, coeff, exponent, central)
+        e = self.ext.identity_exponent()
+        return self.monomial(coeff, e if exponent is None else exponent,
+                             e if central is None else central)
 
     def from_witness(self, witness) -> HomogeneousElement:
         return self.homog(witness.coeff, witness.exponent)
-
-    def generator(self, i) -> HomogeneousElement:
-        return self.homog(self.ext.one(), self.ext.unit_exponent(i))
 
     def central_generator(self, i) -> HomogeneousElement:
         w = [0] * self.ext.rank
@@ -235,34 +222,19 @@ class GradedCrossedProduct:
     # ------------------------------------------------------------- #
     # arithmetic
 
-    def mul(self, h1: HomogeneousElement, h2: HomogeneousElement) -> HomogeneousElement:
-        if h1.context is not self or h2.context is not self:
-            raise MixedContextError("elements from different contexts")
-        scalar, exp, carry = self.algebra.monomial_product(h1.exponent, h2.exponent)
-        coeff = h1.coeff * self.ext.apply_automorphism(h1.exponent, h2.coeff) * scalar
-        central = tuple(a + b + q for a, b, q in zip(h1.central, h2.central, carry))
-        return HomogeneousElement(self, coeff, exp, central)
-
     def inv(self, h: HomogeneousElement) -> HomogeneousElement:
         ext = self.ext
         m_inv = ext.exp_neg(h.exponent)
         scalar, _exp, carry = self.algebra.monomial_product(h.exponent, m_inv)
         coeff = ext.apply_automorphism(m_inv, ext.inv(h.coeff * scalar))
         central = tuple(-a - q for a, q in zip(h.central, carry))
-        out = HomogeneousElement(self, coeff, m_inv, central)
+        out = HomogeneousElement(self, {(m_inv, central): coeff})
         if self.mul(h, out) != self.one() or self.mul(out, h) != self.one():
             raise InternalInconsistencyError("homogeneous inverse failed verification")
         return out
 
-    def one(self) -> HomogeneousElement:
-        return self.homog(self.ext.one())
-
     def power(self, h: HomogeneousElement, k: int) -> HomogeneousElement:
-        base = h if k >= 0 else self.inv(h)
-        out = self.one()
-        for _ in range(abs(k)):
-            out = self.mul(out, base)
-        return out
+        return h ** k if k >= 0 else self.inv(h) ** -k
 
     def commute(self, h1, h2) -> bool:
         return self.mul(h1, h2) == self.mul(h2, h1)
@@ -274,21 +246,8 @@ class GradedCrossedProduct:
         """Does h^q commute with every residue field basis element and every
         graded generator?  The value of h is reported alongside so callers
         can test the off-lattice criterion."""
-        hq = self.power(h, q)
-        central = True
-        for b in self.ext.basis():
-            if b.is_zero():
-                continue
-            s = self.homog(b)
-            if not self.commute(hq, s):
-                central = False
-                break
-        if central:
-            for i in range(self.ext.rank):
-                if not self.commute(hq, self.generator(i)):
-                    central = False
-                    break
-        return CentralityOutcome(central, self.value_of(h))
+        return CentralityOutcome(self.commutes_with_generators(self.power(h, q)),
+                                 self.value_of(h))
 
     def to_strong_witness(self, h: HomogeneousElement) -> cp.StrongDegeneracyWitness:
         """Hilbert-90 extraction on residues: the central Laurent part drops
@@ -354,7 +313,7 @@ class GradedCrossedProduct:
         graded generators) and central scalings f_i with v(f_i) = v(pi_i^n_i)."""
         ext = self.ext
         if pis is None:
-            pis = tuple(self.generator(i) for i in range(ext.rank))
+            pis = tuple(self.gen(i) for i in range(ext.rank))
         if scalings is None:
             scalings = self.default_scalings()
         for i, pi in enumerate(pis):
@@ -395,7 +354,7 @@ class GradedCrossedProduct:
         """Index of the base lattice: the size of the group the generator
         values generate modulo integer vectors."""
         return len(self.ext.subgroup_exponents(
-            [self.value_of(self.generator(i)).fracs for i in range(self.ext.rank)]))
+            [self.value_of(self.gen(i)).fracs for i in range(self.ext.rank)]))
 
     def semiramification_report(self) -> Report:
         """Value-lattice index vs residue degree vs total dimension.

@@ -22,9 +22,12 @@ def rref(matrix):
 
     Returns (rows, pivot_columns, d): integer rows with rows == d * RREF of
     the matrix, where d > 0 is the common value of every pivot entry (1
-    when there is no pivot).
+    when there is no pivot).  A non-integer entry is a TypeError: the
+    exact divisions below would silently floor it.
     """
     rows = [list(row) for row in matrix]
+    if not all(isinstance(a, int) for row in rows for a in row):
+        raise TypeError("linalg takes integer rows; scale rational data first")
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []

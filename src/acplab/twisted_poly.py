@@ -141,7 +141,7 @@ class GenericCrossedProduct(cp.MonomialContext):
             key = (m, w)
             term = c * coeff
             out[key] = out[key] + term if key in out else term
-        return cp.MonomialCombination(self, out)
+        return self.element_type(self, out)
 
     def is_central(self, x: cp.MonomialCombination) -> bool:
         """Central exactly when supported on trivial group exponents with

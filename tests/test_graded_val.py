@@ -49,7 +49,7 @@ def test_value_vector_addition_laws(a, b):
 
 def test_values_of_generators(b_graded):
     k = b_graded.ext
-    z1 = b_graded.generator(0)
+    z1 = b_graded.gen(0)
     assert b_graded.value_of(z1).fractions() == (Fraction(1, 2), 0)
     x1 = b_graded.central_generator(0)
     assert b_graded.value_of(x1).fractions() == (1, 0)
@@ -133,7 +133,7 @@ def test_homogeneous_commutation(b_graded):
     k = b_graded.ext
     sqrt2, sqrt3 = k.basis_element(2), k.basis_element(1)
     central = b_graded.central_generator(0)
-    z1, z2 = b_graded.generator(0), b_graded.generator(1)
+    z1, z2 = b_graded.gen(0), b_graded.gen(1)
     assert b_graded.commute(central, z1)
     assert not b_graded.commute(z1, z2)
     prod = b_graded.mul(z1, z2)
@@ -168,7 +168,7 @@ def test_power_central_criterion(b_graded, b_witness):
     assert out.power_central
     assert out.value_in_base_lattice
 
-    z1 = b_graded.generator(0)
+    z1 = b_graded.gen(0)
     out = b_graded.qpower_central_check(z1, 2)
     assert out.power_central
     assert not out.value_in_base_lattice

@@ -9,6 +9,7 @@ division by d.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acplab import linalg
@@ -177,3 +178,18 @@ def test_invert_matches_reference(matrix):
         columns = list(zip(*inverse))
         assert [_apply(matrix, col) for col in columns] == [
             [F(int(i == j)) for i in range(n)] for j in range(n)]
+
+
+def test_rational_entries_are_a_type_error():
+    """Floor division would eliminate Fraction rows wrongly: this system
+    would come out as x = (2, 0), where its solution is (-40, 63)."""
+    rational = [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]
+    with pytest.raises(TypeError):
+        linalg.solve(rational, [1, 1])
+    for op in (linalg.rref, linalg.rank, linalg.nullspace, linalg.invert):
+        with pytest.raises(TypeError):
+            op(rational)
+    with pytest.raises(TypeError):
+        linalg.solve([[2, 1], [1, 1]], [F(1, 2), 1])
+    # the same system with both rows scaled by 210
+    assert linalg.solve([[105, 70], [42, 30]], [210, 210]) == ([-8400, 13230], 210)
