@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import pathlib
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from acplab import cli, serialize
 from acplab import crossed_product as cp
+from acplab import extension_lab as xl
 from acplab import fixtures
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -144,14 +146,13 @@ def test_graded_command(capsys):
 
 
 def test_graded_failing_pair_witness_is_a_math_failure(monkeypatch, capsys):
-    """The pair scan checks every witness it emits; a failing one ends the
-    command with one message, not a report."""
+    """The report checks every witness the pair scan emits; a failing one is
+    a failed line of the report, not an exception."""
     monkeypatch.setattr(cp, "check_pair_witness", lambda alg, w: False)
     code, out, err = run(["graded", "--fixture", "instance-b"], capsys)
     assert code == cli.EXIT_MATH_FAIL
-    assert out == ""
-    assert err.splitlines() == [
-        "mathematical failure: commuting pair produced a failing witness"]
+    assert "[FAIL] every commuting noncyclic pair emitted a passing witness" in out
+    assert err == ""
 
 
 def test_graded_rejects_cyclic_group(tmp_path, capsys):
@@ -259,6 +260,83 @@ def test_malformed_vectors_and_exponents_are_input_errors(tmp_path, capsys, argv
     code, _out, err = run(argv + [_edited(tmp_path, source, keys, value)], capsys)
     assert code == cli.EXIT_IO
     assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["graded", "--fixture"],
+    ["graded", "--fixture", "instance-b", "--witness"],
+], ids=["fixture-witness", "supplied-witness"])
+def test_graded_failing_witness_is_one_fail_line(tmp_path, capsys, argv):
+    """A witness that fails its check is reported, never skipped."""
+    path = _edited(tmp_path, "instance-b-witness.json", ("coeff",), ["1", "0", "0", "0"])
+    code, out, err = run(argv + [path], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert len(fails) == 1
+    assert "witness passes the strong degeneracy check" in fails[0]
+
+
+# Each producer below is replaced by one returning a tampered result; the
+# report line that prints the claim must catch it on its own.
+
+def _moved(x, m):
+    """x times 1 + b for a basis element b that s^m moves, which changes
+    the twisted ratio s^m(x)/x."""
+    ext = x.field
+    b = next(b for b in ext.basis() if ext.apply_automorphism(m, b) != b)
+    return x * (ext.one() + b)
+
+
+def _tampered_strong(w):
+    return dataclasses.replace(
+        w, solutions=(_moved(w.solutions[0], w.exponent),) + w.solutions[1:])
+
+
+def _patch_result(monkeypatch, module, name, tamper):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: tamper(original(*a, **k)))
+
+
+def _tampered_twists(data):
+    u = data.twists[0][1]
+    row = (data.twists[0][0], u + u) + data.twists[0][2:]
+    return dataclasses.replace(data, twists=(row,) + data.twists[1:])
+
+
+@pytest.mark.parametrize("name, tamper, line", [
+    ("extend_cocycle", _tampered_twists, "stage 1: extend data to the composite"),
+    ("norm_descend_witness", lambda r: (r[0], _tampered_strong(r[1])),
+     "stage 3: norm descent to the powered data"),
+    ("bezout_certificate", lambda r: (r[0], r[1] + 1), "stage 4: Bezout certificate"),
+    ("power_witness", lambda r: (r[0], _tampered_strong(r[1])), "stage 5: witness powering"),
+], ids=["stage-1", "stage-3", "stage-4", "stage-5"])
+def test_descend_stage_checks_its_own_result(monkeypatch, capsys, name, tamper, line):
+    _patch_result(monkeypatch, xl, name, tamper)
+    code, out, err = run(["descend", "--fixture", "instance-b", "--composite",
+                          "b-cuberoot2", "--exponent", "2"], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [text for text in out.splitlines() if "[FAIL]" in text]
+    assert fails[0].startswith(f"  [FAIL] {line}")
+
+
+@pytest.mark.parametrize("name, tamper, line", [
+    ("witness_to_central_element", lambda elem: elem.context.one(),
+     "central monomial is prime-power central"),
+    ("search_pair_degeneracy",
+     lambda out: dataclasses.replace(out, witness=dataclasses.replace(
+         out.witness, elem2=_moved(out.witness.elem2, out.witness.exp2))),
+     "pair witness found"),
+], ids=["central-monomial", "pair-witness"])
+def test_analyze_line_checks_its_own_result(monkeypatch, capsys, name, tamper, line):
+    _patch_result(monkeypatch, cp, name, tamper)
+    code, out, err = run(["analyze", "--fixture", "instance-b"], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [text for text in out.splitlines() if "[FAIL]" in text]
+    assert len(fails) == 1
+    assert fails[0].startswith(f"  [FAIL] {line}")
 
 
 @pytest.mark.parametrize("unit", [[1, 0, 0, 0], ["2/2", "0", "0", "0"]],
