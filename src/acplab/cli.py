@@ -132,13 +132,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     search.note(f"{outcome.candidates_tried} (exponent, coefficient) pairs tried "
                 f"over {outcome.exponents_tried} prime-order exponents, "
                 f"budget {cfg.budget_l}")
-    if outcome.found:
-        w = outcome.witness
-        search.require("witness found", True, str(w))
+    w = outcome.witness
+    if not outcome.found:
+        search.note(outcome.message)
+    elif search.require("witness found", cp.check_strong_witness(alg, w), str(w)):
         elem = cp.witness_to_central_element(alg, w)
         q = ext.exp_order(w.exponent)
         power = elem ** q
-        search.require("central monomial is prime-power central", True,
+        search.require("central monomial is prime-power central",
+                       not alg.is_central(elem) and alg.is_central(power),
                        f"({elem})^{q} = {power}")
         back = cp.central_element_to_witness(alg, w.coeff, w.exponent)
         search.require("round trip re-extraction passes the checker",
@@ -146,15 +148,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
         pair = cp.strong_to_pair_witness(alg, w)
         search.require("derived pair witness passes",
                        cp.check_pair_witness(alg, pair), str(pair))
-    else:
-        search.note(outcome.message)
     reports.append(search)
 
     pair_rep = Report("degeneracy pair search")
     pair_outcome = cp.search_pair_degeneracy(alg, candidates,
                                              max_checks=cfg.budget_l ** 2)
     if pair_outcome.found:
-        pair_rep.require("pair witness found", True, str(pair_outcome.witness))
+        pair_rep.require("pair witness found",
+                         cp.check_pair_witness(alg, pair_outcome.witness),
+                         str(pair_outcome.witness))
     else:
         pair_rep.note(pair_outcome.message)
     if cp.pair_fast_path_applies(ext):
@@ -163,7 +165,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     gcp = tp.GenericCrossedProduct(alg)
     mono_rep = Report("power-central monomial search (generic model)")
-    mono = gcp.monomial_power_central_search(candidates, budget=cfg.budget_l)
+    mono = gcp.monomial_power_central_search(candidates, outcome, cfg.budget_l)
     if mono.found:
         mono_rep.require(f"{mono.prime}-power central monomial", True,
                          f"{mono.monomial} ({mono.message})")
@@ -223,34 +225,39 @@ def cmd_graded(cfg: RunConfig) -> int:
     resid_rep.require("residue relations validate", resid.report.ok)
     reports.append(resid_rep)
 
-    wit = builtin_witness
-    if cfg.witness:
-        wit = _load_witness(cfg.witness, alg)
-    wit_ok = wit is not None and cp.check_strong_witness(alg, wit)
-    if wit_ok:
-        h = graded.from_witness(wit)
-        q = ext.exp_order(wit.exponent)
-        out = graded.qpower_central_check(h, q)
+    wit = _load_witness(cfg.witness, alg) if cfg.witness else builtin_witness
+    if wit is not None:
         crit = Report("power-central homogeneous criterion")
-        crit.require(f"witness image {h} is {q}-power central", bool(out))
-        crit.require("its value sits off the base lattice",
-                     not out.value_in_base_lattice, str(out.value))
-        crit.require("extraction on residues returns a passing witness",
-                     cp.check_strong_witness(alg, graded.to_strong_witness(h)))
         reports.append(crit)
+        if cp.check_strong_witness(alg, wit):
+            h = graded.from_witness(wit)
+            q = ext.exp_order(wit.exponent)
+            out = graded.qpower_central_check(h, q)
+            crit.require(f"witness image {h} is {q}-power central", bool(out))
+            crit.require("its value sits off the base lattice",
+                         not out.value_in_base_lattice, str(out.value))
+            crit.require("extraction on residues returns a passing witness",
+                         cp.check_strong_witness(alg, graded.to_strong_witness(h)))
+        else:
+            crit.require("witness passes the strong degeneracy check", False, str(wit))
+            wit = None
 
     pair_rep = Report("commuting homogeneous pairs")
-    # commuting_pair_scan raises on an emitted witness that fails its check
     scan = graded.commuting_pair_scan()
     witnesses = scan.witnesses
     pair_rep.require("every commuting noncyclic pair emitted a passing witness",
-                     True, f"{len(witnesses)} witnesses from {scan.checked} pairs")
-    if not witnesses and wit_ok:
+                     all(cp.check_pair_witness(alg, pw) for pw in witnesses),
+                     f"{len(witnesses)} witnesses from {scan.checked} pairs")
+    fallback = not witnesses and wit is not None
+    if fallback:
         witnesses.append(cp.strong_to_pair_witness(alg, wit))
     if witnesses:
         h1, h2 = graded.witness_pair_elements(witnesses[0])
+        # the scan's witnesses are checked above; a fallback pair is checked here
         pair_rep.require("converse: witness pair elements commute",
-                         graded.commute(h1, h2), f"{h1} and {h2}")
+                         graded.commute(h1, h2)
+                         and (not fallback or cp.check_pair_witness(alg, witnesses[0])),
+                         f"{h1} and {h2}")
     reports.append(pair_rep)
 
     audit = graded.absence_audit(

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistencyError, MixedContextError, WitnessError
+from .errors import MixedContextError, WitnessError
 from .field_core import FieldElement, GaloisExtensionPresentation, is_prime
 from .reporting import Report
 
@@ -627,11 +627,8 @@ def strong_to_pair_witness(alg, w: StrongDegeneracyWitness) -> DegeneracyPairWit
     m = ext.exp_canon(w.exponent)
     for i in range(ext.rank):
         if not ext.subgroup_is_cyclic(ext.unit_exponent(i), m):
-            pair = DegeneracyPairWitness(
+            return DegeneracyPairWitness(
                 ext.unit_exponent(i), m, ext.inv(w.coeff), w.solutions[i])
-            if not check_pair_witness(alg, pair):
-                raise InternalInconsistencyError("derived pair witness fails its check")
-            return pair
     raise ValueError("no generator spans a noncyclic subgroup with the witness "
                      "exponent; the group is cyclic")
 
@@ -640,23 +637,15 @@ def witness_to_central_element(alg, w: StrongDegeneracyWitness) -> MonomialCombi
     """The prime-power central monomial l * z^m attached to a strong witness."""
     if not check_strong_witness(alg, w):
         raise WitnessError("witness fails the strong degeneracy check")
-    ext = alg.ext
-    m = ext.exp_canon(w.exponent)
-    q = ext.exp_order(m)
-    elem = alg.monomial(w.coeff, m)
-    if alg.is_central(elem):
-        raise InternalInconsistencyError("witness monomial is already central")
-    if not alg.is_central(elem ** q):
-        raise InternalInconsistencyError(
-            "witness monomial's prime power is not central")
-    return elem
+    return alg.monomial(w.coeff, w.exponent)
 
 
 def central_element_to_witness(alg, coeff: FieldElement, m) -> StrongDegeneracyWitness:
     """Extract a strong witness from a q-power central monomial coeff * z^m.
 
-    For each generator the norm condition N_m(s_i(l)/l * commutator(e_i, m)) = 1
-    is certified and a solution x_i is recovered constructively.
+    For each generator a solution x_i of s^m(x_i)/x_i = s_i(l)/l *
+    commutator(e_i, m) is recovered constructively; none exists exactly
+    when that element's norm along s^m is not 1.
     """
     ext = alg.ext
     m = ext.exp_canon(m)
@@ -672,18 +661,11 @@ def central_element_to_witness(alg, coeff: FieldElement, m) -> StrongDegeneracyW
     for i in range(ext.rank):
         c_i = ext.apply_automorphism(ext.unit_exponent(i), coeff) / coeff \
             * alg.commutator(ext.unit_exponent(i), m)
-        if ext.norm_along(m, c_i) != ext.one():
-            raise InternalInconsistencyError(
-                f"norm condition fails at generator {i} despite centrality")
         x = ext.hilbert90_solve(m, c_i)
         if x is None:
-            raise InternalInconsistencyError(
-                f"norm-one element has no twisted-ratio solution at generator {i}")
+            raise WitnessError(f"norm condition fails at generator {i}")
         solutions.append(x)
-    w = StrongDegeneracyWitness(m, coeff, tuple(solutions))
-    if not check_strong_witness(alg, w):
-        raise InternalInconsistencyError("extracted witness fails the checker")
-    return w
+    return StrongDegeneracyWitness(m, coeff, tuple(solutions))
 
 
 # ---------------------------------------------------------------------- #
@@ -796,8 +778,6 @@ def search_pair_degeneracy(alg, candidates=None, max_checks=20000) -> SearchOutc
                                          EXHAUSTION_DISCLAIMER)
                 if ra * rb == target:
                     w = DegeneracyPairWitness(m, n, candidates[ai], candidates[bi])
-                    if not check_pair_witness(alg, w):
-                        raise InternalInconsistencyError("pair witness fails recheck")
                     return SearchOutcome(w, len(pairs), checks,
                                          f"pair witness found at (m={m}, n={n})")
     return SearchOutcome(None, len(pairs), checks, EXHAUSTION_DISCLAIMER)
@@ -866,9 +846,6 @@ def transport_witness(alg: CrossedProductAlgebra, w: StrongDegeneracyWitness,
     for i in range(ext.rank):
         image_zm = target.mul(image_zm, phi[i] ** m[i])
     a_m = image_zm.coefficient(m)
-    out = StrongDegeneracyWitness(
+    return StrongDegeneracyWitness(
         m, w.coeff * a_m,
         tuple(x * a for x, a in zip(w.solutions, images)))
-    if not check_strong_witness(target, out):
-        raise InternalInconsistencyError("transported witness fails the target checker")
-    return out

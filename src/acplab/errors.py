@@ -17,9 +17,5 @@ class WitnessError(AlgebraError):
     """A supplied witness or isomorphism fails its defining identity."""
 
 
-class InternalInconsistencyError(AlgebraError):
-    """A should-be-impossible state; surfaced loudly rather than hidden."""
-
-
 class FormatError(AlgebraError):
     """Unreadable or schema-incompatible serialized data."""

@@ -25,9 +25,8 @@ from math import gcd, lcm
 from . import linalg
 from .crossed_product import (CocycleData, CrossedProductAlgebra,
                               StrongDegeneracyWitness, check_strong_witness,
-                              power_cocycle)
-from .errors import (InternalInconsistencyError, MixedContextError,
-                     PresentationError, WitnessError)
+                              power_cocycle, validate_relations)
+from .errors import MixedContextError, PresentationError, WitnessError
 from .field_core import (FieldElement, GaloisExtensionPresentation, _apply_columns,
                          _columns, _compose, _dense_matrix, _identity, _image,
                          _integer_rows, _is_multiplicative, _make, _rational,
@@ -168,14 +167,14 @@ def _module_data(comp: CompositeExtension):
         for img in images:
             span_rows.append(list((img * cand).nums))
     if len(vs) != t:
-        raise InternalInconsistencyError("failed to build a module basis")
+        raise PresentationError("failed to build a module basis")
     # column (b*n + a) holds embed(e_a) * v_b, times the lcm den of the
     # denominators; the inverse is then den * rows / d, stored canonically
     prods = [images[a] * vs[b] for b in range(t) for a in range(n)]
     den = lcm(*[p.den for p in prods])
     inverse = linalg.invert([[p.nums[i] * (den // p.den) for p in prods] for i in range(big)])
     if inverse is None:
-        raise InternalInconsistencyError("module coordinate matrix is singular")
+        raise PresentationError("module coordinate matrix is singular")
     rows, d = inverse
     g = gcd(d, den * gcd(*[v for row in rows for v in row]))
     columns = tuple(tuple((k, den * v // g) for k, v in enumerate(col) if v)
@@ -254,19 +253,10 @@ def orbit_product(comp: CompositeExtension, y: FieldElement) -> FieldElement:
 
 
 def extend_cocycle(comp: CompositeExtension, data: CocycleData) -> CocycleData:
-    """Images of the presentation data over the composite; the relations are
-    revalidated there and must pass."""
-    from .crossed_product import validate_relations
-
-    twists = tuple(tuple(embed_element(comp, u) for u in row) for row in data.twists)
-    powers = tuple(embed_element(comp, b) for b in data.powers)
-    out = CocycleData(twists, powers)
-    report = validate_relations(comp.composite, out)
-    if not report.ok:
-        raise InternalInconsistencyError(
-            "extended data fails relations: "
-            + "; ".join(c.name for c in report.failures()))
-    return out
+    """Images of the presentation data over the composite."""
+    return CocycleData(
+        tuple(tuple(embed_element(comp, u) for u in row) for row in data.twists),
+        tuple(embed_element(comp, b) for b in data.powers))
 
 
 def extended_algebra(comp: CompositeExtension, data: CocycleData) -> CrossedProductAlgebra:
@@ -282,8 +272,7 @@ def embed_witness(comp: CompositeExtension, w: StrongDegeneracyWitness) -> Stron
 def norm_descend_witness(comp: CompositeExtension, base_alg: CrossedProductAlgebra,
                          w: StrongDegeneracyWitness, ext_alg=None):
     """Descend a witness over the composite to one for the entrywise t-th
-    power of the base data.  Returns (powered algebra, witness); an output
-    check failure is an internal inconsistency and is surfaced loudly."""
+    power of the base data.  Returns (powered algebra, witness)."""
     if base_alg.ext is not comp.base:
         raise MixedContextError("algebra is not over the composite's base")
     if ext_alg is None:
@@ -293,11 +282,7 @@ def norm_descend_witness(comp: CompositeExtension, base_alg: CrossedProductAlgeb
     coeff = relative_norm(comp, w.coeff)
     solutions = tuple(relative_norm(comp, x) for x in w.solutions)
     powered = CrossedProductAlgebra(comp.base, power_cocycle(base_alg.data, comp.t))
-    out = StrongDegeneracyWitness(w.exponent, coeff, solutions)
-    if not check_strong_witness(powered, out):
-        raise InternalInconsistencyError(
-            "descended witness fails the checker for the powered data")
-    return powered, out
+    return powered, StrongDegeneracyWitness(w.exponent, coeff, solutions)
 
 
 def power_witness(alg: CrossedProductAlgebra, w: StrongDegeneracyWitness, k: int):
@@ -308,11 +293,8 @@ def power_witness(alg: CrossedProductAlgebra, w: StrongDegeneracyWitness, k: int
     if not check_strong_witness(alg, w):
         raise WitnessError("input witness fails the checker")
     target = CrossedProductAlgebra(alg.ext, power_cocycle(alg.data, k))
-    out = StrongDegeneracyWitness(
+    return target, StrongDegeneracyWitness(
         w.exponent, w.coeff ** k, tuple(x ** k for x in w.solutions))
-    if not check_strong_witness(target, out):
-        raise InternalInconsistencyError("powered witness fails the checker")
-    return target, out
 
 
 def bezout_certificate(t: int, e: int):
@@ -322,26 +304,26 @@ def bezout_certificate(t: int, e: int):
     if gcd(t, e) != 1:
         raise ValueError(f"gcd({t}, {e}) != 1")
     k = pow(t, -1, e) if e > 1 else 1
-    if k == 0:
-        k = 1
-    l = (1 - t * k) // e
-    if t * k + e * l != 1:
-        raise InternalInconsistencyError("certificate failed verification")
-    return k, l
+    return k, (1 - t * k) // e
 
 
 def descent_report(comp: CompositeExtension, base_alg: CrossedProductAlgebra,
                    w: StrongDegeneracyWitness, exponent: int) -> Report:
     """The full chain: extend, check over the composite, norm-descend,
-    Bezout-power.  Each stage's verdict is a line; the first failure aborts."""
+    Bezout-power.  Each stage's verdict is a line computed here from the
+    stage's result; the first failure aborts."""
     report = Report(f"descent chain: {comp.composite.name or 'composite'}, "
                     f"t={comp.t}, e={exponent}")
+    stage = "stage 1: extend data to the composite"
     try:
-        ext_alg = extended_algebra(comp, base_alg.data)
-    except (InternalInconsistencyError, PresentationError) as exc:
-        report.require("stage 1: extend data to the composite", False, str(exc))
+        data = extend_cocycle(comp, base_alg.data)
+        failures = validate_relations(comp.composite, data).failures()
+    except PresentationError as exc:
+        report.require(stage, False, str(exc))
         return report
-    report.require("stage 1: extend data to the composite", True)
+    if not report.require(stage, not failures, "; ".join(c.name for c in failures)):
+        return report
+    ext_alg = CrossedProductAlgebra(comp.composite, data, validate=False)
 
     if w.coeff.field is comp.base:
         w = embed_witness(comp, w)
@@ -361,30 +343,36 @@ def descent_report(comp: CompositeExtension, base_alg: CrossedProductAlgebra,
                     "orbit cross-check not applicable (norm is the K-linear "
                     "determinant)")
 
+    stage = "stage 3: norm descent to the powered data"
     try:
         powered, descended = norm_descend_witness(comp, base_alg, w, ext_alg)
-    except (WitnessError, InternalInconsistencyError) as exc:
-        report.require("stage 3: norm descent to the powered data", False, str(exc))
+    except WitnessError as exc:
+        report.require(stage, False, str(exc))
         return report
-    report.require("stage 3: norm descent to the powered data", True,
-                   f"t={comp.t}; descended witness {descended}")
+    if not report.require(stage, check_strong_witness(powered, descended),
+                          f"t={comp.t}; descended witness {descended}"):
+        return report
 
+    stage = "stage 4: Bezout certificate"
     try:
         k, l = bezout_certificate(comp.t, exponent)
     except ValueError as exc:
-        report.require("stage 4: Bezout certificate", False, str(exc))
+        report.require(stage, False, str(exc))
         return report
-    report.require("stage 4: Bezout certificate", True,
-                   f"{comp.t}*{k} + {exponent}*{l} = 1")
+    total = comp.t * k + exponent * l
+    if not report.require(stage, total == 1, f"{comp.t}*{k} + {exponent}*{l} = {total}"):
+        return report
 
+    stage = "stage 5: witness powering"
     try:
-        _target, powered_witness = power_witness(powered, descended, k)
-    except (WitnessError, InternalInconsistencyError) as exc:
-        report.require("stage 5: witness powering", False, str(exc))
+        target, powered_witness = power_witness(powered, descended, k)
+    except WitnessError as exc:
+        report.require(stage, False, str(exc))
         return report
-    report.require("stage 5: witness powering", True,
-                   f"witness for the entrywise power t*k = {comp.t * k}: "
-                   f"{powered_witness}")
+    if not report.require(stage, check_strong_witness(target, powered_witness),
+                          f"witness for the entrywise power t*k = {comp.t * k}: "
+                          f"{powered_witness}"):
+        return report
     report.note("the passage from the powered data back to the original data "
                 "uses a non-constructive equivalence and is not implemented; "
                 "the chain ends here by design")

@@ -24,7 +24,7 @@ from math import isqrt
 
 from . import crossed_product as cp
 from . import twisted_poly as tp
-from .errors import InternalInconsistencyError, MixedContextError
+from .errors import MixedContextError
 from .field_core import FieldElement
 from .reporting import Report
 
@@ -228,10 +228,7 @@ class GradedCrossedProduct(tp.GenericCrossedProduct):
         scalar, _exp, carry = self.algebra.monomial_product(h.exponent, m_inv)
         coeff = ext.apply_automorphism(m_inv, ext.inv(h.coeff * scalar))
         central = tuple(-a - q for a, q in zip(h.central, carry))
-        out = HomogeneousElement(self, {(m_inv, central): coeff})
-        if self.mul(h, out) != self.one() or self.mul(out, h) != self.one():
-            raise InternalInconsistencyError("homogeneous inverse failed verification")
-        return out
+        return HomogeneousElement(self, {(m_inv, central): coeff})
 
     def power(self, h: HomogeneousElement, k: int) -> HomogeneousElement:
         return h ** k if k >= 0 else self.inv(h) ** -k
@@ -257,7 +254,7 @@ class GradedCrossedProduct(tp.GenericCrossedProduct):
 
     def pair_degeneracy_check(self, h1, h2) -> PairDegeneracyOutcome:
         """Noncyclic theta span plus commuting; on success the induced pair
-        witness is emitted (and must pass the crossed-product checker)."""
+        witness is emitted for the caller to check."""
         ext = self.ext
         m = self.theta(self.value_of(h1))
         n = self.theta(self.value_of(h2))
@@ -266,9 +263,6 @@ class GradedCrossedProduct(tp.GenericCrossedProduct):
         witness = None
         if noncyclic and commute:
             witness = cp.DegeneracyPairWitness(m, n, ext.inv(h2.coeff), h1.coeff)
-            if not cp.check_pair_witness(self.algebra, witness):
-                raise InternalInconsistencyError(
-                    "commuting pair produced a failing witness")
         return PairDegeneracyOutcome(commute, noncyclic, witness)
 
     def commuting_pair_scan(self) -> PairScan:
@@ -331,7 +325,7 @@ class GradedCrossedProduct(tp.GenericCrossedProduct):
                 comm = self.mul(self.mul(pis[i], pis[j]),
                                 self.inv(self.mul(pis[j], pis[i])))
                 if comm.exponent != ext.identity_exponent() or any(comm.central):
-                    raise InternalInconsistencyError("commutator is not a unit residue")
+                    raise ValueError("commutator is not a unit residue")
                 twists[i][j] = comm.coeff
 
         powers = []

@@ -155,19 +155,6 @@ class GenericCrossedProduct(cp.MonomialContext):
     def is_p_power_central(self, t: cp.MonomialCombination, p: int) -> bool:
         return self.is_central(self.reduce(t ** p))
 
-    def strip_central(self, t: cp.MonomialCombination):
-        """(t - t_c, t_c) where t_c collects the central monomials of t."""
-        central: dict = {}
-        rest: dict = {}
-        for exps, c in t.coeffs.items():
-            if all(e % n == 0 for e, n in zip(exps, self.ext.orders)) \
-                    and self.is_central(self.reduce(t.context.monomial(c, exps))):
-                central[exps] = c
-            else:
-                rest[exps] = c
-        return (cp.MonomialCombination(t.context, rest),
-                cp.MonomialCombination(t.context, central))
-
     def group_prime(self) -> int:
         """The common prime of the generator orders; error if mixed."""
         p = common_prime(self.ext.orders)
@@ -179,27 +166,23 @@ class GenericCrossedProduct(cp.MonomialContext):
         """The polynomial-ring image of a strong witness's central monomial."""
         return self.ring.monomial(witness.coeff, witness.exponent)
 
-    def monomial_power_central_search(self, candidates=None, use_strong_search=True,
+    def monomial_power_central_search(self, candidates=None, strong=None,
                                       budget=None) -> MonomialSearchOutcome:
         """Search for a p-power-central monomial l * s^m over order-p
-        exponents and candidate coefficients.  A strong-degeneracy witness
-        found at the crossed-product level is tried first; its image is
-        verified rather than trusted."""
+        exponents and candidate coefficients.  The image of the witness in
+        strong, the outcome of search_strong_degeneracy over the same
+        candidates and budget (run here when None), is tried first; the
+        caller checks whichever monomial is returned."""
         ext = self.ext
         p = self.group_prime()
         if ext.group_order == max(ext.exp_order(m) for m in ext.exponents()):
             raise ValueError("monomial search requires a noncyclic group")
-        tried = 0
-        if use_strong_search:
-            outcome = cp.search_strong_degeneracy(self.algebra, candidates, budget)
-            tried += outcome.candidates_tried
-            if outcome.found and ext.exp_order(outcome.witness.exponent) == p:
-                mono = self.witness_monomial(outcome.witness)
-                if not self.is_p_power_central(mono, p):
-                    raise cp.InternalInconsistencyError(
-                        "witness image is not power central; reduction bug")
-                return MonomialSearchOutcome(mono, p, tried,
-                                             "monomial from strong-degeneracy witness")
+        if strong is None:
+            strong = cp.search_strong_degeneracy(self.algebra, candidates, budget)
+        tried = strong.candidates_tried
+        if strong.found and ext.exp_order(strong.witness.exponent) == p:
+            return MonomialSearchOutcome(self.witness_monomial(strong.witness), p, tried,
+                                         "monomial from strong-degeneracy witness")
         if candidates is None:
             candidates = cp.default_candidates(ext)
         if budget is not None:

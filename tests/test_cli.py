@@ -155,6 +155,18 @@ def test_graded_failing_pair_witness_is_a_math_failure(monkeypatch, capsys):
     assert err == ""
 
 
+def test_graded_checks_its_fallback_pair_witness(monkeypatch, capsys):
+    """instance-b3's scan emits no pair witness, so the converse line runs
+    on the pair derived from the strong witness and checks it."""
+    monkeypatch.setattr(cp, "check_pair_witness", lambda alg, w: False)
+    code, out, err = run(["graded", "--fixture", "instance-b3"], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [text for text in out.splitlines() if "[FAIL]" in text]
+    assert len(fails) == 1
+    assert fails[0].startswith("  [FAIL] converse: witness pair elements commute")
+
+
 def test_graded_rejects_cyclic_group(tmp_path, capsys):
     from fractions import Fraction
 

@@ -1,5 +1,6 @@
 """Composite verification, relative norms, and the descent chain."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,13 @@ def test_trivial_composite(b_field):
     comp = fixtures.trivial_composite(b_field)
     assert comp.t == 1
     assert comp.composite.dim == b_field.dim
+
+
+def test_singular_module_data_is_a_presentation_error(monkeypatch, b_composite):
+    comp = dataclasses.replace(b_composite, _module=())     # no cached module data
+    monkeypatch.setattr(xl.linalg, "invert", lambda rows: None)
+    with pytest.raises(PresentationError, match="singular"):
+        xl.relative_norm(comp, comp.composite.one())
 
 
 def test_rejects_bad_relative_automorphism(b_field):
@@ -149,8 +157,9 @@ def test_power_witness_trivial_data(b_field):
     alg = cp.CrossedProductAlgebra(b_field, fixtures.trivial_cocycle(b_field))
     one = b_field.one()
     w = cp.StrongDegeneracyWitness((1, 0), one, (one, one))
-    _target, out = xl.power_witness(alg, w, 5)
+    target, out = xl.power_witness(alg, w, 5)
     assert out.coeff == one
+    assert cp.check_strong_witness(target, out)
 
 
 def test_bezout_examples():

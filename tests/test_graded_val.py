@@ -151,7 +151,7 @@ def test_homogeneous_inverse(b_graded, b3_graded, rng):
             h = g.homog(g.ext.random_element(rng),
                         exps[rng.randrange(len(exps))],
                         tuple(rng.randint(-1, 1) for _ in range(g.ext.rank)))
-            assert g.mul(h, g.inv(h)) == g.one()
+            assert g.mul(h, g.inv(h)) == g.one() == g.mul(g.inv(h), h)
 
 
 def test_power_central_criterion(b_graded, b_witness):

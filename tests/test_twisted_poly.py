@@ -119,16 +119,6 @@ def test_power_central_examples(b_ring, b_generic, b_witness):
     assert not b_generic.is_p_power_central(sqrt2 * s1 + b_ring.one(), 2)
 
 
-def test_strip_central(b_ring, b_generic):
-    k = b_ring.ext
-    t = b_ring.poly({(2, 0): k.scalar(5), (1, 0): k.basis_element(2),
-                     (0, 0): k.one()})
-    rest, central = b_generic.strip_central(t)
-    assert central.support() == [(0, 0), (2, 0)]
-    assert rest.support() == [(1, 0)]
-    assert rest + central == t
-
-
 def test_monomial_search_trivial_data(b_field):
     alg = cp.CrossedProductAlgebra(b_field, fixtures.trivial_cocycle(b_field))
     gcp = tp.GenericCrossedProduct(alg)
@@ -141,16 +131,29 @@ def test_monomial_search(b_generic, b3_generic, b3_witness):
     out = b_generic.monomial_power_central_search()
     assert out.found
     assert b_generic.is_p_power_central(out.monomial, out.prime)
-    # with search disabled and no usable candidates the space is empty
-    empty = b_generic.monomial_power_central_search(
-        candidates=[], use_strong_search=False)
+    # with an unfound strong search and no usable candidates the space is empty
+    unfound = cp.SearchOutcome(None, 0, 0, cp.EXHAUSTION_DISCLAIMER)
+    empty = b_generic.monomial_power_central_search(candidates=[], strong=unfound)
     assert not empty.found
     assert "NOT a proof" in empty.message
     # the b3 witness coefficient is reachable when supplied as a candidate
     out3 = b3_generic.monomial_power_central_search(
-        candidates=[b3_witness.coeff], use_strong_search=False)
+        candidates=[b3_witness.coeff], strong=unfound)
     assert out3.found
     assert out3.prime == 3
+
+
+def test_monomial_search_reuses_the_strong_outcome(monkeypatch, b_generic):
+    strong = cp.search_strong_degeneracy(b_generic.algebra)
+    fresh = b_generic.monomial_power_central_search()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the strong search ran again")
+
+    monkeypatch.setattr(cp, "search_strong_degeneracy", no_search)
+    out = b_generic.monomial_power_central_search(strong=strong)
+    assert out == fresh
+    assert out.monomial == b_generic.witness_monomial(strong.witness)
 
 
 def test_monomial_centrality_matches_crossed_product(b_generic, b3_generic,
