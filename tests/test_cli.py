@@ -14,6 +14,7 @@ from acplab import cli, serialize
 from acplab import crossed_product as cp
 from acplab import extension_lab as xl
 from acplab import fixtures
+from acplab.field_core import GaloisExtensionPresentation
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -113,6 +114,66 @@ def test_validate_mutated_fixture(tmp_path, name):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["validate", "--fixture", str(path)])
+        assert code in (cli.EXIT_PASS, cli.EXIT_MATH_FAIL, cli.EXIT_IO,
+                        cli.EXIT_EXHAUSTED)
+        assert len(err.getvalue().splitlines()) <= 1
+
+    check()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "instance-b.json"), ("analyze", "instance-b-witness.json"),
+    ("graded", "instance-b.json"), ("graded", "instance-b-witness.json"),
+    ("descend", "instance-b-witness.json")])
+def test_failing_relations_are_a_fail_line(tmp_path, capsys, command, name):
+    """Constructors check shape only; a presentation whose relations fail
+    reaches the report line that decides them."""
+    keys = ("twists", 0, 1, 2) if name == "instance-b.json" else ("algebra", "twists", 0, 1, 2)
+    argv = [command, "--fixture", _edited(tmp_path, name, keys, "1/2")]
+    if command == "descend":
+        argv += ["--composite", "b-cuberoot2", "--exponent", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [text for text in out.splitlines() if "[FAIL]" in text]
+    assert fails and "diagonal and inversion rule" in fails[0]
+    if command != "descend":
+        # the relations report is the whole output
+        assert out.count("=> ") == 1 and "cocycle relations" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "graded", "descend"])
+def test_zero_power_is_one_stderr_line(tmp_path, capsys, command):
+    argv = [command, "--fixture", _edited(tmp_path, "instance-b-witness.json",
+                                          ("algebra", "powers", 0), ["0"] * 4)]
+    if command == "descend":
+        argv += ["--composite", "b-cuberoot2", "--exponent", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert out == ""
+    assert err.splitlines() == ["mathematical failure: powers[0] is zero"]
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in ("analyze", "graded", "descend")
+    for name in ("instance-b.json", "instance-b-witness.json", "instance-b3-witness.json")])
+def test_command_on_mutated_fixture(tmp_path, command, name):
+    path = tmp_path / name
+    argv = [command, "--fixture", str(path)]
+    if command == "descend":
+        composite, exponent = (("b3-sqrt5", "3") if name.startswith("instance-b3")
+                               else ("b-cuberoot2", "2"))
+        argv += ["--composite", composite, "--exponent", exponent]
+        if name == "instance-b.json":
+            argv += ["--witness", str(FIXTURE_DIR / "instance-b-witness.json")]
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(mutated_documents(json.loads((FIXTURE_DIR / name).read_text())))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
         assert code in (cli.EXIT_PASS, cli.EXIT_MATH_FAIL, cli.EXIT_IO,
                         cli.EXIT_EXHAUSTED)
         assert len(err.getvalue().splitlines()) <= 1
@@ -435,3 +496,35 @@ def test_cli_report_matches_golden(monkeypatch, capsys, job):
     codes = json.loads((CLI_GOLDEN_DIR / "exit-codes.json").read_text())
     assert code == codes[job]
     assert out == (CLI_GOLDEN_DIR / f"{job}.txt").read_text(encoding="utf-8")
+
+
+def test_each_job_validates_its_relations_once(monkeypatch, capsys):
+    """Relations are checked once per report, and exponents that are
+    already canonical are not canonicalised again: counted by wrapping, on
+    the golden jobs with seed 0."""
+    monkeypatch.chdir(REPO_ROOT)
+    calls = {"relations": 0, "exp_canon": 0}
+    validate_relations = cp.validate_relations
+    exp_canon = GaloisExtensionPresentation.exp_canon
+
+    def counted_relations(*args):
+        calls["relations"] += 1
+        return validate_relations(*args)
+
+    def counted_canon(self, m):
+        calls["exp_canon"] += 1
+        return exp_canon(self, m)
+
+    monkeypatch.setattr(cp, "validate_relations", counted_relations)
+    monkeypatch.setattr(xl, "validate_relations", counted_relations, raising=False)
+    monkeypatch.setattr(GaloisExtensionPresentation, "exp_canon", counted_canon)
+    limits = {"validate": 1, "analyze": 1, "graded": 2, "descend": 1}
+    canon = {}
+    for job, argv in sorted(CLI_GOLDEN_JOBS.items()):
+        calls.update(relations=0, exp_canon=0)
+        run(argv + ["--format", "report", "--seed", "0"], capsys)
+        command = argv[0]
+        assert 1 <= calls["relations"] <= limits[command], job
+        canon[job] = calls["exp_canon"]
+    assert canon["graded-instance-b3"] <= 2000
+    assert sum(canon.values()) <= 5000

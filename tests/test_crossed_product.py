@@ -1,11 +1,16 @@
 """Cocycle relations, the derived table, algebra arithmetic, witnesses."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
 from acplab import crossed_product as cp
-from acplab import fixtures
+from acplab import fixtures, serialize
 from acplab.errors import MixedContextError, WitnessError
 from acplab.field_core import GaloisExtensionPresentation
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_relations_pass_on_fixtures(b_algebra, b3_algebra):
@@ -366,3 +371,41 @@ def test_transport_rejects_non_isomorphism(b_algebra, b_witness):
     trivial = cp.CrossedProductAlgebra(k, fixtures.trivial_cocycle(k))
     with pytest.raises(WitnessError):
         cp.transport_witness(b_algebra, b_witness, trivial, (k.one(), k.one()))
+
+
+def test_constructor_checks_shape_only(b_field):
+    """An algebra is built on data whose relations fail; the relations are
+    the report's to decide.  Zero entries and a wrong rank still raise."""
+    sqrt2 = b_field.basis_element(2)
+    data = cp.CocycleData(
+        ((b_field.one(), sqrt2), (b_field.inv(sqrt2), b_field.one())),
+        (b_field.scalar(3), b_field.scalar(5)))
+    alg = cp.CrossedProductAlgebra(b_field, data)
+    assert not cp.validate_relations(b_field, data).ok
+    assert len(alg.table) == 16
+    one, zero = b_field.one(), b_field.zero()
+    with pytest.raises(ValueError, match=r"^powers\[1\] is zero$"):
+        cp.CrossedProductAlgebra(b_field, cp.CocycleData(((one, one), (one, one)), (one, zero)))
+    with pytest.raises(ValueError, match=r"^twists\[1\]\[0\] is zero$"):
+        cp.CrossedProductAlgebra(b_field, cp.CocycleData(((one, one), (zero, one)), (one, one)))
+    with pytest.raises(ValueError, match="rank does not match"):
+        cp.CrossedProductAlgebra(b_field, cp.CocycleData(((one,),), (one,)))
+
+
+def test_noncanonical_exponents_act_like_canonical_ones():
+    """(3, -1) and (1, 1) name one element of C2 x C2; every entry point that
+    takes an exponent treats them alike, on fresh caches in either order."""
+    path = FIXTURE_DIR / "instance-b-witness.json"
+    for first, second in (((3, -1), (1, 1)), ((1, 1), (3, -1))):
+        alg, w = serialize.witness_from_doc(serialize.load_document(path))
+        k = alg.ext
+        x = k.element([1, 2, 3, 4])
+        results = []
+        for m in (first, second):
+            results.append((
+                k.apply_automorphism(m, x), k.exp_order(m),
+                k.subgroup_is_cyclic(m, (1, 0)), k.subgroup_is_cyclic((0, 1), m),
+                alg.cocycle(m, (1, 0)), alg.cocycle((0, 1), m), alg.cocycle(m, m),
+                cp.check_strong_witness(alg, dataclasses.replace(w, exponent=m))))
+        assert results[0] == results[1]
+        assert results[0][-1] is True
