@@ -121,6 +121,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     alg, _ = _load_algebra(cfg.fixture)
     ext = alg.ext
     reports = [cp.validate_relations(ext, alg.data)]
+    if not reports[0].ok:
+        _emit(cfg, reports)
+        return EXIT_MATH_FAIL
     candidates = cp.default_candidates(ext)
     if cfg.candidates:
         extra = serialize.elements_from_doc(
@@ -201,6 +204,10 @@ def cmd_descend(cfg: RunConfig) -> int:
 def cmd_graded(cfg: RunConfig) -> int:
     alg, builtin_witness = _load_algebra(cfg.fixture)
     ext = alg.ext
+    relations = cp.validate_relations(ext, alg.data)
+    if not relations.ok:
+        _emit(cfg, [relations])
+        return EXIT_MATH_FAIL
     graded = gv.GradedCrossedProduct(alg)
     reports = [graded.semiramification_report()]
 

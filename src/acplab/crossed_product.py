@@ -81,7 +81,6 @@ class TwistEngine:
         self._conj: dict = {}
 
     def conjugated_twist(self, m, j, k) -> FieldElement:
-        m = self.ext.exp_canon(m)
         key = (m, j, k)
         if key not in self._conj:
             self._conj[key] = self.ext.apply_automorphism(m, self.twists[j][k])
@@ -183,14 +182,8 @@ def reduce_word_naive(ext, twists, powers, word, carry=True):
 # relation validation
 
 
-def validate_relations(ext: GaloisExtensionPresentation, data: CocycleData) -> Report:
-    """Check the compatibility relations of the presentation data.
-
-    The report passes iff the inversion/diagonal rule, the power action rule
-    and the triple twist identity all hold; the subgroup-norm rule is checked
-    too but reported as a warning only, since the construction theorem does
-    not require it.
-    """
+def check_shape(ext: GaloisExtensionPresentation, data: CocycleData):
+    """Raise ValueError unless data has the rank of ext and no zero entry."""
     r = data.rank
     if r != ext.rank:
         raise ValueError("cocycle data rank does not match the presentation")
@@ -201,6 +194,17 @@ def validate_relations(ext: GaloisExtensionPresentation, data: CocycleData) -> R
             if data.twists[i][j].is_zero():
                 raise ValueError(f"twists[{i}][{j}] is zero")
 
+
+def validate_relations(ext: GaloisExtensionPresentation, data: CocycleData) -> Report:
+    """Check the shape (check_shape), then the relations, of the presentation data.
+
+    The report passes iff the inversion/diagonal rule, the power action rule
+    and the triple twist identity all hold; the subgroup-norm rule is checked
+    too but reported as a warning only, since the construction theorem does
+    not require it.
+    """
+    check_shape(ext, data)
+    r = data.rank
     report = Report(f"cocycle relations: {ext.name or 'unnamed'}")
     one = ext.one()
 
@@ -437,18 +441,13 @@ class MonomialContext:
 
 
 class CrossedProductAlgebra(MonomialContext):
-    """The crossed product presented by (ext, data), with its derived table."""
+    """The crossed product presented by (ext, data), with its derived table.
+    Only the shape of data is checked here; its relations, by validate_relations."""
 
-    def __init__(self, ext: GaloisExtensionPresentation, data: CocycleData,
-                 validate=True):
+    def __init__(self, ext: GaloisExtensionPresentation, data: CocycleData):
+        check_shape(ext, data)
         self.ext = ext
         self.data = data
-        if validate:
-            report = validate_relations(ext, data)
-            if not report.ok:
-                raise WitnessError(
-                    "cocycle relations fail: "
-                    + "; ".join(c.name for c in report.failures()))
         self._engine = TwistEngine(ext, data.twists)
         self.table: dict = {}
         self._carries: dict = {}
@@ -488,7 +487,9 @@ class CrossedProductAlgebra(MonomialContext):
     # products
 
     def cocycle(self, g, h) -> FieldElement:
-        return self.table[(self.ext.exp_canon(g), self.ext.exp_canon(h))]
+        if (g, h) not in self.table:
+            g, h = self.ext.exp_canon(g), self.ext.exp_canon(h)
+        return self.table[(g, h)]
 
     def monomial_product(self, g, h):
         """(coeff, exponent, carries) with z^g z^h = coeff * z^exp for
@@ -609,12 +610,10 @@ def check_strong_witness(alg: CrossedProductAlgebra, w: StrongDegeneracyWitness)
 
 def check_pair_witness(alg: CrossedProductAlgebra, w: DegeneracyPairWitness) -> bool:
     ext = alg.ext
-    m = ext.exp_canon(w.exp1)
-    n = ext.exp_canon(w.exp2)
-    if ext.subgroup_is_cyclic(m, n):
+    if ext.subgroup_is_cyclic(w.exp1, w.exp2):
         return False
-    lhs = alg.commutator(m, n)
-    rhs = _twist_ratio(ext, m, w.elem1) * _twist_ratio(ext, n, w.elem2)
+    lhs = alg.commutator(w.exp1, w.exp2)
+    rhs = _twist_ratio(ext, w.exp1, w.elem1) * _twist_ratio(ext, w.exp2, w.elem2)
     return lhs == rhs
 
 

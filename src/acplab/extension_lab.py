@@ -323,14 +323,13 @@ def descent_report(comp: CompositeExtension, base_alg: CrossedProductAlgebra,
         return report
     if not report.require(stage, not failures, "; ".join(c.name for c in failures)):
         return report
-    ext_alg = CrossedProductAlgebra(comp.composite, data, validate=False)
+    ext_alg = CrossedProductAlgebra(comp.composite, data)
 
     if w.coeff.field is comp.base:
         w = embed_witness(comp, w)
-    if not check_strong_witness(ext_alg, w):
-        report.require("stage 2: witness valid over the composite", False)
+    if not report.require("stage 2: witness valid over the composite",
+                          check_strong_witness(ext_alg, w), str(w)):
         return report
-    report.require("stage 2: witness valid over the composite", True, str(w))
 
     group = relative_group(comp)
     if len(group) == comp.t:

@@ -9,7 +9,8 @@ non-normal coefficient fields of composite extensions.
 
 Group exponents are plain tuples m = (m_1, ..., m_r) with
 0 <= m_i < orders[i]; composition is componentwise addition modulo the
-orders.
+orders.  Methods that cache by exponent take any integer tuple, keyed as
+given, and run exp_canon only on a cache miss.
 
 An element holds integer numerators over one positive denominator,
 (nums, den), in normal form: gcd(den, *nums) == 1, and zero is
@@ -368,13 +369,12 @@ class GaloisExtensionPresentation:
         return tuple((-a) % ni for a, ni in zip(m, self.orders))
 
     def exp_order(self, m) -> int:
-        m = self.exp_canon(m)
-        if m not in self._exp_order_cache:
+        order = self._exp_order_cache.get(m)
+        if order is None:
             # components act independently, so the order is the lcm
-            self._exp_order_cache[m] = (
-                lcm(*(ni // gcd(mi, ni) for mi, ni in zip(m, self.orders)))
-                if self.rank else 1)
-        return self._exp_order_cache[m]
+            order = lcm(*[ni // gcd(mi, ni) for mi, ni in zip(self.exp_canon(m), self.orders)])
+            self._exp_order_cache[m] = order
+        return order
 
     def exponents(self):
         """All canonical exponents of G, lexicographically."""
@@ -405,12 +405,12 @@ class GaloisExtensionPresentation:
         return seen
 
     def subgroup_is_cyclic(self, m, n) -> bool:
-        key = (self.exp_canon(m), self.exp_canon(n))
-        if key not in self._cyclic_cache:
-            sub = self.subgroup_exponents(key)
-            size = len(sub)
-            self._cyclic_cache[key] = any(self.exp_order(g) == size for g in sub)
-        return self._cyclic_cache[key]
+        cyclic = self._cyclic_cache.get((m, n))
+        if cyclic is None:
+            sub = self.subgroup_exponents((self.exp_canon(m), self.exp_canon(n)))
+            cyclic = any(self.exp_order(g) == len(sub) for g in sub)
+            self._cyclic_cache[(m, n)] = cyclic
+        return cyclic
 
     # ------------------------------------------------------------------ #
     # Galois action
@@ -418,11 +418,10 @@ class GaloisExtensionPresentation:
     def sigma_matrix(self, m):
         """s^m as (columns, den): column j is the sparse integer entry of
         s^m(basis_j) over the common den, see _sparse_integer."""
-        m = self.exp_canon(m)
         cached = self._sigma_cache.get(m)
         if cached is None:
             cached = _identity(self.dim)
-            for s, mi in zip(self._generators, m):
+            for s, mi in zip(self._generators, self.exp_canon(m)):
                 for _ in range(mi):
                     cached = _compose(s, cached)
             self._sigma_cache[m] = cached
@@ -474,8 +473,8 @@ class GaloisExtensionPresentation:
         """Some x with s^m(x) = c*x, or None when no solution exists.
 
         A nonzero solution exists exactly when N_m(c) = 1; the kernel method
-        needs no nonvanishing search.  The returned element is verified
-        before being handed back.
+        needs no nonvanishing search.  The kernel vector is returned
+        unchecked: the callers that print a claim about it check it.
         """
         self._check(c)
         if c.is_zero():
@@ -489,12 +488,7 @@ class GaloisExtensionPresentation:
         delta = [[cden * a - s[1] * b for a, b in zip(srow, mrow)]
                  for srow, mrow in zip(_integer_rows(s, self.dim), mc)]
         kernel, den = linalg.nullspace(delta)
-        if not kernel:
-            return None
-        x = _make(self, kernel[0], den)
-        if self.apply_automorphism(m, x) != c * x:
-            raise PresentationError("kernel vector failed verification; presentation inconsistent")
-        return x
+        return _make(self, kernel[0], den) if kernel else None
 
     def __repr__(self):
         return (f"GaloisExtensionPresentation({self.name or 'unnamed'}: dim {self.dim}, "

@@ -169,7 +169,8 @@ def cocycle_data_from_doc(doc: dict, ext=None):
 
 
 def algebra_from_doc(doc: dict, ext=None) -> CrossedProductAlgebra:
-    """Rebuild (and revalidate) the algebra from its document."""
+    """Rebuild the algebra from its document; the shape of its data is
+    checked, its relations are not (validate_relations)."""
     ext, data = cocycle_data_from_doc(doc, ext)
     return CrossedProductAlgebra(ext, data)
 

@@ -227,7 +227,7 @@ def test_criterion_10_performance_floor():
         ext = fixtures.instance_b3_field()
         data = fixtures.instance_b3_algebra().data
         start = time.perf_counter()
-        fresh = cp.CrossedProductAlgebra(ext, data, validate=False)
+        fresh = cp.CrossedProductAlgebra(ext, data)
         report = fresh.cocycle_identity_report()
         elapsed = time.perf_counter() - start
         assert report.ok

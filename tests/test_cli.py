@@ -516,7 +516,7 @@ def test_each_job_validates_its_relations_once(monkeypatch, capsys):
         return exp_canon(self, m)
 
     monkeypatch.setattr(cp, "validate_relations", counted_relations)
-    monkeypatch.setattr(xl, "validate_relations", counted_relations, raising=False)
+    monkeypatch.setattr(xl, "validate_relations", counted_relations)
     monkeypatch.setattr(GaloisExtensionPresentation, "exp_canon", counted_canon)
     limits = {"validate": 1, "analyze": 1, "graded": 2, "descend": 1}
     canon = {}
@@ -528,3 +528,14 @@ def test_each_job_validates_its_relations_once(monkeypatch, capsys):
         canon[job] = calls["exp_canon"]
     assert canon["graded-instance-b3"] <= 2000
     assert sum(canon.values()) <= 5000
+
+
+def test_descend_failing_witness_is_named_on_stage_2(tmp_path, capsys):
+    path = _edited(tmp_path, "instance-b-witness.json", ("coeff",), ["1", "0", "0", "0"])
+    code, out, err = run(["descend", "--fixture", "instance-b", "--composite", "b-cuberoot2",
+                          "--exponent", "2", "--witness", path], capsys)
+    assert code == cli.EXIT_MATH_FAIL
+    assert err == ""
+    fails = [text for text in out.splitlines() if "[FAIL]" in text]
+    assert len(fails) == 1
+    assert fails[0].startswith("  [FAIL] stage 2: witness valid over the composite  (m=(1, 1), l=1,")

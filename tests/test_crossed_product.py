@@ -400,12 +400,15 @@ def test_noncanonical_exponents_act_like_canonical_ones():
         alg, w = serialize.witness_from_doc(serialize.load_document(path))
         k = alg.ext
         x = k.element([1, 2, 3, 4])
+        # the pair strong_to_pair_witness derives, built without its checks
+        pair = cp.DegeneracyPairWitness((1, 0), (1, 1), k.inv(w.coeff), w.solutions[0])
         results = []
         for m in (first, second):
             results.append((
                 k.apply_automorphism(m, x), k.exp_order(m),
                 k.subgroup_is_cyclic(m, (1, 0)), k.subgroup_is_cyclic((0, 1), m),
                 alg.cocycle(m, (1, 0)), alg.cocycle((0, 1), m), alg.cocycle(m, m),
-                cp.check_strong_witness(alg, dataclasses.replace(w, exponent=m))))
+                cp.check_strong_witness(alg, dataclasses.replace(w, exponent=m)),
+                cp.check_pair_witness(alg, dataclasses.replace(pair, exp2=m))))
         assert results[0] == results[1]
-        assert results[0][-1] is True
+        assert results[0][-2:] == (True, True)
