@@ -214,11 +214,13 @@ def _det_over_field(fld, rows):
             negate = not negate
         pv = rows[c][c]
         out = out * pv
-        inv_pv = fld.inv(pv)
-        for i in range(c + 1, t):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv_pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        # no inversion when no row below needs clearing, as after the last pivot
+        below = [i for i in range(c + 1, t) if not rows[i][c].is_zero()]
+        if below:
+            inv_pv = fld.inv(pv)
+        for i in below:
+            f = rows[i][c] * inv_pv
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return -out if negate else out
 
 

@@ -27,8 +27,12 @@ result is normalised once (_make).  Every linear map (here and in
 extension_lab) is held that way, as canonical sparse integer columns
 (_sparse_integer) that compare and hash by value, applied by _apply_columns
 and composed by _compose.  The ring axioms are checked on the integer
-table, and inversion and Hilbert 90 eliminate integer rows; dense Fraction
-matrices are only constructor input and serialized output.
+table.  Inversion goes through the group, x^-1 = adj(x) / N_G(x) with
+adj(x) the product of the conjugates g(x), g != 1, and eliminates integer
+rows (_eliminate_inverse) only as the fallback and in the validator, which
+must not rely on the automorphisms it has yet to check; Hilbert 90
+eliminates integer rows.  Dense Fraction matrices are only constructor
+input and serialized output.
 """
 
 from __future__ import annotations
@@ -335,16 +339,52 @@ class GaloisExtensionPresentation:
         return rows, x.den * self._table_den
 
     def inv(self, x: FieldElement) -> FieldElement:
+        """x^-1 through the group: adj = prod_{g != 1} g(x), built down the
+        generator chain, makes x * adj = N_G(x) fixed by G.  A nonzero
+        scalar q gives adj / q, and that product x * adj is itself the
+        check.  Otherwise (a composite, whose group fixes a larger field)
+        N_G(x) is inverted from its minimal polynomial and the result is
+        checked with one product.  Rank 0 and every case these do not
+        settle (a zero divisor, say) fall back to _eliminate_inverse."""
         if x.is_zero():
             raise ZeroDivisionError("inversion of 0")
-        rows, den = self.multiplication_matrix(x)
-        unit, uden = self._unit
-        # (rows / den) y = unit / uden exactly when rows (uden * y) = den * unit
-        sol = linalg.solve(rows, [den * u for u in unit])
-        if sol is None:
-            raise PresentationError(
-                f"multiplication by {x} is singular: presentation is not a field")
-        return _make(self, sol[0], sol[1] * uden)
+        if self.rank:
+            adj = None
+            y = x
+            for s, n in zip(self._generators, self.orders):
+                conj = _image(s, y, self)
+                p = conj
+                for _ in range(n - 2):
+                    conj = _image(s, conj, self)
+                    p = p * conj
+                adj = p if adj is None else adj * p
+                y = x * adj
+            q = self.scalar_part(y)
+            if q:
+                return adj / q
+            if q is None:
+                y_inv = self._invert_fixed(y)
+                if y_inv is not None:
+                    out = adj * y_inv
+                    if x * out == self.one():
+                        return out
+        return _eliminate_inverse(self, x)
+
+    def _invert_fixed(self, y):
+        """y^-1 from the first F-linear relation among 1, y, ..., y^f with
+        f = dim / |G|, the dimension of the fixed field when the group acts
+        faithfully; None when there is no relation or its constant term is 0."""
+        powers = [self.one()]
+        for _ in range(self.dim // self.group_order):
+            powers.append(powers[-1] * y)
+        den = lcm(*[v.den for v in powers])
+        krylov = [[v.nums[k] * (den // v.den) for v in powers] for k in range(self.dim)]
+        relations, _d = linalg.nullspace(krylov)
+        if not relations or not relations[0][0]:
+            return None
+        # sum_j c_j y^j = 0 with c_0 != 0, so y^-1 = -sum_{j>=1} c_j y^(j-1) / c_0
+        c = relations[0]
+        return sum((v * cj for cj, v in zip(c[1:], powers)), self.zero()) / -c[0]
 
     def trace(self, x: FieldElement) -> Fraction:
         return Fraction(sum(a * t for a, t in zip(x.nums, self._trace_nums)),
@@ -604,6 +644,19 @@ def _compose(a, b):
     return tuple(tuple((k, v // g) for k, v in col) for col in out), den // g
 
 
+def _eliminate_inverse(p: GaloisExtensionPresentation, x: FieldElement) -> FieldElement:
+    """x^-1 by solving the integer system of multiplication by x; it uses
+    no automorphism, so the validator can check invertibility with it."""
+    rows, den = p.multiplication_matrix(x)
+    unit, uden = p._unit
+    # (rows / den) y = unit / uden exactly when rows (uden * y) = den * unit
+    sol = linalg.solve(rows, [den * u for u in unit])
+    if sol is None:
+        raise PresentationError(
+            f"multiplication by {x} is singular: presentation is not a field")
+    return _make(p, sol[0], sol[1] * uden)
+
+
 def plain_field_presentation(basis_labels, structure_constants, unit, name=""):
     """A commutative field presentation with no Galois data (rank 0)."""
     return GaloisExtensionPresentation((), basis_labels, structure_constants, unit, [], name)
@@ -685,7 +738,7 @@ def _validate_ring_axioms(p: GaloisExtensionPresentation, report: Report, rng, s
         if x.is_zero():
             continue
         try:
-            y = p.inv(x)
+            y = _eliminate_inverse(p, x)
         except PresentationError:
             bad = x
             break

@@ -106,12 +106,14 @@ class GenericCrossedProduct(cp.MonomialContext):
         self.algebra = algebra
         self.ext = algebra.ext
         self.ring = TwistedPolyRing(algebra.ext, algebra.data)
+        # canonical exponents map to themselves: exp_canon runs only on the rest
+        self._canonical = {m: m for m in self.ext.exponents()}
 
     mul = cp.combination_product
 
     def canonical_key(self, key):
         m, w = key
-        return self.ext.exp_canon(m), tuple(int(x) for x in w)
+        return self._canonical.get(m) or self.ext.exp_canon(m), tuple(int(x) for x in w)
 
     def lift(self, m):
         return tuple(m), (0,) * self.ext.rank

@@ -526,8 +526,8 @@ def test_each_job_validates_its_relations_once(monkeypatch, capsys):
         command = argv[0]
         assert 1 <= calls["relations"] <= limits[command], job
         canon[job] = calls["exp_canon"]
-    assert canon["graded-instance-b3"] <= 2000
-    assert sum(canon.values()) <= 5000
+    assert canon["graded-instance-b3"] <= 200
+    assert sum(canon.values()) <= 820
 
 
 def test_descend_failing_witness_is_named_on_stage_2(tmp_path, capsys):

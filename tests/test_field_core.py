@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from acplab import fixtures
+from acplab import field_core, fixtures
 from acplab.errors import MixedContextError, PresentationError
-from acplab.field_core import (GaloisExtensionPresentation,
+from acplab.field_core import (GaloisExtensionPresentation, _eliminate_inverse,
                                plain_field_presentation, validate_field_data,
                                validate_galois_data)
 
@@ -32,6 +32,49 @@ def test_inversion(b_field):
     assert x * b_field.inv(x) == b_field.one()
     with pytest.raises(ZeroDivisionError):
         b_field.inv(b_field.zero())
+
+
+def test_inverse_in_a_split_algebra():
+    """Q(sqrt2) (x) Q[y]/(y^2 - 4) has the shape of a Galois extension but
+    is not a field: y - 2 has norm 0, so its inversion falls back to
+    elimination and reports the zero divisor, while the unit sqrt2 - 2
+    inverts through the group to the same value elimination gives."""
+    sqrt2 = fixtures.SimpleExtension("sqrt2", 2, (Fraction(2), Fraction(0)),
+                                     auto_image=(Fraction(0), Fraction(-1)))
+    p = fixtures.tensor_galois_presentation(
+        [sqrt2, fixtures.SimpleExtension("y", 2, (4, 0), (0, -1))], (2, 2))
+    y, root = p.basis_element(1), p.basis_element(2)
+    with pytest.raises(PresentationError,
+                       match=r"^multiplication by -2 \+ y is singular: presentation is not a field$"):
+        p.inv(y - 2)
+    assert p.inv(root - 2) == _eliminate_inverse(p, root - 2)
+
+
+def test_inverse_with_a_wrong_unit_matches_elimination(b_field, rng):
+    """With unit vector 2*1, as in test_validation_pins_a_unit_failure,
+    both routes solve x * y = the supplied unit."""
+    broken = GaloisExtensionPresentation(
+        b_field.orders, b_field.basis_labels, b_field.structure_constants,
+        [2, 0, 0, 0], b_field.sigma, name="bad-unit")
+    for x in broken.basis() + [broken.random_element(rng) for _ in range(8)]:
+        assert broken.inv(x) == _eliminate_inverse(broken, x)
+
+
+def test_rank_zero_inverse_is_elimination(monkeypatch, b_composite):
+    """A presentation without automorphisms has no group to invert through."""
+    field = b_composite.ext_field
+    assert field.rank == 0
+    eliminate = field_core._eliminate_inverse
+    calls = []
+
+    def counted(p, x):
+        calls.append(x)
+        return eliminate(p, x)
+
+    monkeypatch.setattr(field_core, "_eliminate_inverse", counted)
+    x = field.basis_element(1) + 1
+    assert field.inv(x) * x == field.one()
+    assert calls == [x]
 
 
 def test_automorphism_action(b_field):

@@ -24,7 +24,8 @@ from acplab import cli, fixtures, linalg, serialize
 from acplab import extension_lab as xl
 from acplab.crossed_product import validate_relations
 from acplab.extension_lab import validate_composite
-from acplab.field_core import GaloisExtensionPresentation, validate_galois_data
+from acplab.field_core import (GaloisExtensionPresentation, _eliminate_inverse,
+                               validate_galois_data)
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -384,6 +385,56 @@ def test_restrict_inverts_embed_on_non_integral_composites(name, data):
     assert xl.restrict_element(comp, up) == x
     with pytest.raises(ValueError):
         xl.restrict_element(comp, up + comp.composite.basis_element(1))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_group_inverse_matches_elimination(name, data):
+    """Inversion through the group (through the minimal polynomial of the
+    norm on the composite) gives the value elimination gives."""
+    p = PRESENTATIONS[name]
+    x = p.element(data.draw(coords(p.dim).filter(any), label="x"))
+    assert p.inv(x) == _eliminate_inverse(p, x)
+
+
+def test_inversion_elimination_counts(monkeypatch):
+    """Counts that do not depend on the machine: an inverse in instance-b3
+    eliminates nothing, one in the b3-sqrt5 composite eliminates at most
+    one matrix of at most 3 columns, and a relative norm down from that
+    composite inverts once."""
+    comp = fixtures.composite_b3_sqrt5()
+    k, big = comp.base, comp.composite
+    widths = []
+    rref = linalg.rref
+
+    def counted_rref(matrix):
+        widths.append(len(matrix[0]))
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    rng = random.Random(7)
+    for x in [k.random_element(rng) for _ in range(10)]:
+        widths.clear()
+        assert k.inv(x) * x == k.one()
+        assert widths == []
+    for y in [big.random_element(rng) for _ in range(10)]:
+        widths.clear()
+        assert big.inv(y) * y == big.one()
+        assert len(widths) <= 1 and all(w <= 3 for w in widths)
+
+    inverted = []
+    inv = GaloisExtensionPresentation.inv
+
+    def counted_inv(p, x):
+        inverted.append(p)
+        return inv(p, x)
+
+    monkeypatch.setattr(GaloisExtensionPresentation, "inv", counted_inv)
+    for y in [big.random_element(rng) for _ in range(10)]:
+        inverted.clear()
+        xl.relative_norm(comp, y)
+        assert inverted == [k]
 
 
 def test_elimination_sees_only_integer_rows(monkeypatch, capsys):
